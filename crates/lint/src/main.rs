@@ -21,7 +21,7 @@
 //! (e.g. `--rules float-order,epoch-protocol`).
 
 use crp_lint::models::{CachePhaseModel, StealPriceModel, WorkStealModel};
-use crp_lint::models_serve::{ConnPoolModel, FairshareModel, LockOrderModel};
+use crp_lint::models_serve::{ChangeSignalModel, ConnPoolModel, FairshareModel, LockOrderModel};
 use crp_lint::race::{explore, Model};
 use crp_lint::{Diagnostic, Rule};
 use std::path::PathBuf;
@@ -242,6 +242,10 @@ fn run_race_models(deep: bool) -> bool {
             "serve conn pool, deep (4 conns, cap 2, 2 workers)",
             &ConnPoolModel::deep(),
         );
+        ok &= report(
+            "serve change signal, deep (2 event sources, 1 hand-over)",
+            &ChangeSignalModel::deep(),
+        );
     } else {
         ok &= report(
             "fair-share ledger (admit/cancel/rollback vs. snapshots)",
@@ -250,6 +254,10 @@ fn run_race_models(deep: bool) -> bool {
         ok &= report(
             "serve conn pool (3 conns, 2 workers, shutdown)",
             &ConnPoolModel::correct(),
+        );
+        ok &= report(
+            "serve change signal (2 events, 1 hand-over vs. worker wait)",
+            &ChangeSignalModel::correct(),
         );
     }
     ok &= report("two-lock acquisition order", &LockOrderModel::consistent());

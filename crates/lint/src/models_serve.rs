@@ -1,6 +1,6 @@
 //! Race-checker models of the `crp-serve` daemon's shared state.
 //!
-//! Three protocols are modelled for [`crate::race::explore`]:
+//! Four protocols are modelled for [`crate::race::explore`]:
 //!
 //! * [`FairshareModel`] drives the **real** [`crp_serve::Ledger`] (it is
 //!   `Clone` precisely so these models can branch it) with a submitter,
@@ -13,6 +13,10 @@
 //!   inboxes, workers adopt and service them, shutdown must lose
 //!   nothing (no lost wakeup) and service nothing twice (no
 //!   double-grant).
+//! * [`ChangeSignalModel`] is the change-signal wakeup of a `crp_serve`
+//!   pool worker: job events and accept hand-overs bump a generation
+//!   while the worker services its connections and then waits, and no
+//!   pending change may leave the worker in a full-timeout wait.
 //! * [`LockOrderModel`] is the two-lock acquisition-order discipline the
 //!   `lock-order` lint rule enforces statically; the inverted variant
 //!   deadlocks, which the explorer reports as stuck threads in a
@@ -21,8 +25,9 @@
 //! Each model has seeded-bad constructors reproducing a specific bug —
 //! an unclamped thread grant, a cancel that forgets to strike the
 //! queue, a shutdown that skips the final inbox drain, a double push, a
-//! lock held across a blocking accept, an inverted lock order — so the
-//! test suite can prove the detectors actually fire.
+//! lock held across a blocking accept, a generation read after
+//! servicing, an inverted lock order — so the test suite can prove the
+//! detectors actually fire.
 
 use crp_serve::{FinishKind, Lane, Ledger, TenantQuota};
 use std::collections::BTreeSet;
@@ -579,6 +584,204 @@ impl crate::race::Model for ConnPoolModel {
 }
 
 // ---------------------------------------------------------------------------
+// Change-signal wakeups of a pool worker
+// ---------------------------------------------------------------------------
+
+/// Where a pool worker is in its service cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cycle {
+    /// Reads the generation: the first step of the correct cycle.
+    ReadGeneration,
+    /// Takes every change made visible so far.
+    Service,
+    /// The seeded-bad cycle reads the generation here instead.
+    LateRead,
+    /// Loops at once after progress or a moved generation, otherwise
+    /// starts waiting (one step: `wait_timeout_while` checks the
+    /// generation under the mutex the bump takes).
+    Decide,
+    /// Blocked until a bump moves the generation past `seen`; anything
+    /// else can only end it by timeout.
+    Waiting,
+    /// Every change serviced.
+    Done,
+}
+
+/// One source of changes: the scheduler producing job events, or the
+/// accept thread handing over connections. Each change is two steps —
+/// make it visible (push the event under the state lock, push the
+/// connection into the inbox), then bump the generation.
+#[derive(Debug, Clone)]
+struct Source {
+    changes: usize,
+    pushed: usize,
+    bumped: usize,
+    /// Changes the worker has taken (a prefix of the pushed ones).
+    serviced: usize,
+}
+
+/// A `crp_serve::server` pool worker against the change signal that
+/// wakes it. Thread `0` is the worker; every other thread is a
+/// [`Source`]. The worker cycles read → service → decide → (wait), and
+/// the invariant, checked after every step, is **no lost wakeup**: the
+/// worker is never waiting on an unmoved generation while a change that
+/// has been pushed *and* announced by its bump is still unserviced —
+/// only the timeout would end that wait. At the end every change has
+/// been serviced.
+#[derive(Debug, Clone)]
+pub struct ChangeSignalModel {
+    generation: u64,
+    sources: Vec<Source>,
+    cycle: Cycle,
+    /// The generation the worker read this cycle.
+    seen: u64,
+    /// Whether this cycle's service took anything.
+    active: bool,
+    /// Seeded-bad: the worker reads the generation after servicing.
+    late_read: bool,
+}
+
+impl ChangeSignalModel {
+    fn with_sources(changes: &[usize]) -> ChangeSignalModel {
+        ChangeSignalModel {
+            generation: 0,
+            sources: changes
+                .iter()
+                .map(|&changes| Source {
+                    changes,
+                    pushed: 0,
+                    bumped: 0,
+                    serviced: 0,
+                })
+                .collect(),
+            cycle: Cycle::ReadGeneration,
+            seen: 0,
+            active: false,
+            late_read: false,
+        }
+    }
+
+    /// The correct protocol: two job events and one accept hand-over
+    /// racing the worker's cycle.
+    #[must_use]
+    pub fn correct() -> ChangeSignalModel {
+        ChangeSignalModel::with_sources(&[2, 1])
+    }
+
+    /// A larger instance for the scheduled deep run: a third thread —
+    /// two running jobs' events and one hand-over, each from its own
+    /// thread.
+    #[must_use]
+    pub fn deep() -> ChangeSignalModel {
+        ChangeSignalModel::with_sources(&[1, 1, 1])
+    }
+
+    /// Seeded-bad: the worker reads the generation after servicing, so a
+    /// change that lands mid-service is both missed by the service and
+    /// hidden from the wait.
+    #[must_use]
+    pub fn late_read() -> ChangeSignalModel {
+        let mut m = ChangeSignalModel::with_sources(&[2, 1]);
+        m.late_read = true;
+        m.cycle = Cycle::Service;
+        m
+    }
+
+    fn all_serviced(&self) -> bool {
+        self.sources.iter().all(|s| s.serviced == s.changes)
+    }
+
+    fn worker_step(&mut self) {
+        self.cycle = match self.cycle {
+            Cycle::ReadGeneration => {
+                self.seen = self.generation;
+                Cycle::Service
+            }
+            Cycle::Service => {
+                self.active = false;
+                for s in &mut self.sources {
+                    self.active |= s.pushed > s.serviced;
+                    s.serviced = s.pushed;
+                }
+                if self.late_read {
+                    Cycle::LateRead
+                } else {
+                    Cycle::Decide
+                }
+            }
+            Cycle::LateRead => {
+                self.seen = self.generation;
+                Cycle::Decide
+            }
+            Cycle::Decide if self.all_serviced() => Cycle::Done,
+            Cycle::Decide if !self.active && self.generation == self.seen => Cycle::Waiting,
+            // The next cycle: at once after progress or a moved
+            // generation, or once a bump ends the wait.
+            Cycle::Decide | Cycle::Waiting | Cycle::Done if self.late_read => Cycle::Service,
+            Cycle::Decide | Cycle::Waiting | Cycle::Done => Cycle::ReadGeneration,
+        };
+    }
+}
+
+impl crate::race::Model for ChangeSignalModel {
+    fn threads(&self) -> usize {
+        1 + self.sources.len()
+    }
+
+    fn enabled(&self, t: usize) -> bool {
+        if t == 0 {
+            match self.cycle {
+                Cycle::Waiting => self.generation != self.seen,
+                Cycle::Done => false,
+                _ => true,
+            }
+        } else {
+            self.sources[t - 1].bumped < self.sources[t - 1].changes
+        }
+    }
+
+    fn step(&mut self, t: usize) {
+        if t == 0 {
+            self.worker_step();
+            return;
+        }
+        let s = &mut self.sources[t - 1];
+        if s.pushed == s.bumped {
+            s.pushed += 1;
+        } else {
+            s.bumped += 1;
+            self.generation += 1;
+        }
+    }
+
+    fn check_step(&self) -> Result<(), String> {
+        if self.cycle == Cycle::Waiting && self.generation == self.seen {
+            for (i, s) in self.sources.iter().enumerate() {
+                if s.bumped > s.serviced {
+                    return Err(format!(
+                        "lost wakeup: worker waits a full timeout on generation {} while \
+                         source {i}'s announced change {} is unserviced",
+                        self.seen, s.serviced
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn check_terminal(&self) -> Result<(), String> {
+        if self.cycle == Cycle::Done {
+            Ok(())
+        } else {
+            Err(format!(
+                "lost wakeup: worker stuck in {:?} with changes unserviced",
+                self.cycle
+            ))
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Two-lock acquisition order
 // ---------------------------------------------------------------------------
 
@@ -721,6 +924,19 @@ mod tests {
     }
 
     #[test]
+    fn change_signal_correct_protocol_holds_on_every_schedule() {
+        let stats = explore(&ChangeSignalModel::correct()).expect("correct wakeup protocol");
+        assert!(stats.terminals > 100, "model too small to mean anything");
+    }
+
+    #[test]
+    fn reading_the_generation_after_servicing_loses_a_wakeup() {
+        let err = explore(&ChangeSignalModel::late_read())
+            .expect_err("a late generation read must lose a wakeup");
+        assert!(err.message.contains("lost wakeup"), "{}", err.message);
+    }
+
+    #[test]
     fn consistent_lock_order_terminates_everywhere() {
         explore(&LockOrderModel::consistent()).expect("consistent order cannot deadlock");
     }
@@ -735,5 +951,6 @@ mod tests {
     fn deep_variants_stay_within_the_explorer_budget() {
         explore(&FairshareModel::deep()).expect("deep ledger model");
         explore(&ConnPoolModel::deep()).expect("deep pool model");
+        explore(&ChangeSignalModel::deep()).expect("deep change-signal model");
     }
 }

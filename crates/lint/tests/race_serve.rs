@@ -1,14 +1,15 @@
 //! Race-checker regression tests for the `crp-serve` models: the
-//! daemon's real fair-share ledger and its accept/worker connection
-//! handoff must survive an exhaustive interleaving search, and every
-//! seeded-bad variant — the dropped-invariant ledger, the forgotten
-//! cancel strike, the skipped shutdown drain, the double push, the
-//! lock held across `accept()`, the inverted lock order — must be
-//! caught with a concrete schedule. The CI `race-serve` step runs this
+//! daemon's real fair-share ledger, its accept/worker connection
+//! handoff and its change-signal wakeups must survive an exhaustive
+//! interleaving search, and every seeded-bad variant — the
+//! dropped-invariant ledger, the forgotten cancel strike, the skipped
+//! shutdown drain, the double push, the lock held across `accept()`,
+//! the generation read after servicing, the inverted lock order — must
+//! be caught with a concrete schedule. The CI `race-serve` step runs this
 //! file; the scheduled deep job re-runs the larger instances via
 //! `CRP_RACE_DEEP=1`.
 
-use crp_lint::models_serve::{ConnPoolModel, FairshareModel, LockOrderModel};
+use crp_lint::models_serve::{ChangeSignalModel, ConnPoolModel, FairshareModel, LockOrderModel};
 use crp_lint::race::explore;
 use std::time::Instant;
 
@@ -85,6 +86,28 @@ fn lock_held_across_accept_is_caught_as_a_deadlock() {
     let v = explore(&ConnPoolModel::hold_lock_across_accept())
         .expect_err("blocking in accept() under the inbox lock must deadlock");
     assert!(v.message.contains("deadlock"), "wrong violation: {v}");
+}
+
+#[test]
+fn change_signal_wakeups_are_sound_on_every_schedule() {
+    let model = if deep() {
+        ChangeSignalModel::deep()
+    } else {
+        ChangeSignalModel::correct()
+    };
+    let stats = explore(&model).unwrap_or_else(|v| panic!("{v}"));
+    assert!(stats.terminals > 100, "exploration degenerated: {stats:?}");
+}
+
+/// The bug the generation-before-service order prevents: a change that
+/// lands while the worker services its connections is missed by the
+/// service, and a generation read afterwards hides it from the wait.
+#[test]
+fn generation_read_after_servicing_is_caught_as_a_lost_wakeup() {
+    let v = explore(&ChangeSignalModel::late_read())
+        .expect_err("a change landing mid-service must not wait out the timeout");
+    assert!(v.message.contains("lost wakeup"), "wrong violation: {v}");
+    assert!(!v.schedule.is_empty(), "no replayable schedule");
 }
 
 #[test]

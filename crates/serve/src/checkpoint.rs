@@ -17,11 +17,13 @@
 //! re-parsed LEF/DEF) yields a flow that continues **bit-identically**:
 //! the RNG stream replays to the exact draw, the history sets reload,
 //! and rerouting depends only on grid state reproduced by recommit.
-//! Checkpoint writes are atomic (temp file + rename), so a crash while
-//! checkpointing leaves the previous checkpoint intact, never a torn one.
+//! Checkpoint writes are atomic (a spare file that then takes the
+//! checkpoint's name, see `persist`), so a crash while checkpointing
+//! leaves the previous checkpoint intact, never a torn one.
 
 use crate::error::ServeError;
 use crate::json::{parse, Json};
+use crate::persist::replace_file;
 use crp_core::{Crp, CrpConfig, FlowState, IterationReport, StageTimers};
 use crp_geom::{Orientation, Point};
 use crp_gp::GpState;
@@ -321,17 +323,15 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint atomically: serialize to `<path>.tmp`, then
-    /// rename over `path`. A crash mid-write leaves the previous
-    /// checkpoint file untouched.
+    /// Writes the checkpoint atomically: serialize into the spare
+    /// `<path>.tmp`, which then takes the name `path`. A crash mid-write
+    /// leaves the previous checkpoint file untouched.
     ///
     /// # Errors
     ///
     /// Returns a [`ServeError`] on I/O failure.
     pub fn save(&self, path: &Path) -> Result<(), ServeError> {
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json().to_string())?;
-        std::fs::rename(&tmp, path)?;
+        replace_file(path, self.to_json().to_string().as_bytes())?;
         Ok(())
     }
 
@@ -409,16 +409,14 @@ pub fn gp_state_from_json(v: &Json) -> Result<GpState, ServeError> {
     })
 }
 
-/// Writes a GP snapshot atomically (same tmp + rename discipline as
+/// Writes a GP snapshot atomically (same discipline as
 /// [`Checkpoint::save`]).
 ///
 /// # Errors
 ///
 /// Returns a [`ServeError`] on I/O failure.
 pub fn save_gp_state(state: &GpState, path: &Path) -> Result<(), ServeError> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, gp_state_to_json(state).to_string())?;
-    std::fs::rename(&tmp, path)?;
+    replace_file(path, gp_state_to_json(state).to_string().as_bytes())?;
     Ok(())
 }
 

@@ -1,5 +1,11 @@
 //! A minimal blocking client for the daemon's line protocol, shared by
 //! `crp-cli` and the integration tests.
+//!
+//! Each request line leaves in one write on a `TCP_NODELAY` socket. A
+//! line split over two writes would send its tail as a second small
+//! segment, which Nagle's algorithm holds until the daemon ACKs the
+//! first — and the daemon delays that ACK by up to ~40 ms, because it
+//! has nothing to answer until the newline arrives.
 
 use crate::error::ServeError;
 use crate::json::{parse, Json};
@@ -21,6 +27,7 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Client, ServeError> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| ServeError::new(format!("cannot connect to {addr}: {e}")))?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             reader,
@@ -47,10 +54,9 @@ impl Client {
     ///
     /// Returns a [`ServeError`] on transport failure.
     pub fn send(&mut self, request: &Json) -> Result<(), ServeError> {
-        let line = request.to_string();
+        let mut line = request.to_string();
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
         Ok(())
     }
 

@@ -7,9 +7,12 @@
 //! the job directory, so the scheduler can re-dispatch a paused or
 //! crashed job at any time, on any worker.
 
-use crate::checkpoint::{load_gp_state, report_to_json, save_gp_state, Checkpoint};
+use crate::checkpoint::{
+    load_gp_state, report_from_json, report_to_json, save_gp_state, Checkpoint,
+};
 use crate::error::ServeError;
 use crate::json::{parse, Json};
+use crate::persist::remove_spares;
 use crate::spec::{JobMode, JobSpec, Workload};
 use crp_core::{Crp, IterationReport};
 use crp_gp::{legalize_abacus, strip_placement, GlobalPlacer, GpConfig, GpIterStats};
@@ -56,9 +59,11 @@ pub struct WatchEvent {
 }
 
 impl WatchEvent {
-    /// Serializes the event for the wire. The `timers` field embeds
-    /// `timers_json` as-is (it is already canonical JSON; a parse failure
-    /// would be a bug and degrades to a string).
+    /// Serializes the event for the wire and for the job's
+    /// `events.jsonl`. The `timers` field embeds `timers_json` as-is (it
+    /// is already canonical JSON; a parse failure would be a bug and
+    /// degrades to a string).
+    // crp-lint: checkpoint(WatchEvent, to_json, from_json)
     #[must_use]
     pub fn to_json(&self) -> Json {
         let timers = parse(&self.timers_json).unwrap_or_else(|_| Json::str(&self.timers_json));
@@ -68,6 +73,35 @@ impl WatchEvent {
             ("report", report_to_json(&self.report)),
             ("timers", timers),
         ])
+    }
+
+    /// Parses what [`WatchEvent::to_json`] wrote. Serializing the result
+    /// again gives the same bytes, so an event read back from disk goes
+    /// out on the wire exactly as it did live.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ServeError`] on any missing or mistyped field.
+    pub fn from_json(v: &Json) -> Result<WatchEvent, ServeError> {
+        let field = |key: &str| {
+            v.get(key)
+                .ok_or_else(|| ServeError::new(format!("event without `{key}`")))
+        };
+        let count = |key: &str| {
+            field(key)?
+                .as_usize()
+                .ok_or_else(|| ServeError::new(format!("event `{key}` is not a count")))
+        };
+        let timers_json = match field("timers")? {
+            Json::Str(degraded) => degraded.clone(),
+            timers => timers.to_string(),
+        };
+        Ok(WatchEvent {
+            iteration: count("iteration")?,
+            total: count("total")?,
+            report: report_from_json(field("report")?)?,
+            timers_json,
+        })
     }
 }
 
@@ -306,13 +340,17 @@ pub fn run_job(
         write_guides(&design, &grid, &routing),
     )?;
     // Final checkpoint: lets `status` report per-iteration history after
-    // completion and makes `Done` recovery trivially idempotent.
+    // completion and makes `Done` recovery trivially idempotent. It is
+    // never rewritten, so its spare goes.
     Checkpoint::capture(&design, &grid, &routing, &crp, total, total, &reports).save(&ckpt_path)?;
+    remove_spares(&ckpt_path);
     // The GP snapshot is superseded by the final CR&P checkpoint; a
     // leftover would only waste space (it is never consulted once a
     // CR&P checkpoint exists).
     if spec.mode == JobMode::Place {
-        let _ = std::fs::remove_file(dir.join(GP_CHECKPOINT_FILE));
+        let gp_ckpt_path = dir.join(GP_CHECKPOINT_FILE);
+        let _ = std::fs::remove_file(&gp_ckpt_path);
+        remove_spares(&gp_ckpt_path);
     }
     Ok(RunOutcome::Finished)
 }
@@ -433,6 +471,13 @@ mod tests {
             !dir.join(GP_CHECKPOINT_FILE).exists(),
             "finished place job must drop its GP snapshot"
         );
+        // Rewritten files leave no spare behind once the job is done.
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, [CHECKPOINT_FILE, RESULT_DEF_FILE, RESULT_GUIDE_FILE]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -470,6 +515,23 @@ mod tests {
         assert_eq!(def, ref_def, "resumed place-job DEF diverged");
         assert_eq!(guide, ref_guide, "resumed place-job guides diverged");
         let _ = std::fs::remove_dir_all(&ref_dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn events_reread_from_json_serialize_to_the_same_bytes() {
+        let dir = tmp_dir("events");
+        let no = AtomicBool::new(false);
+        let mut events = Vec::new();
+        run_job(&place_spec(), &dir, 1, &no, &no, &mut |e| events.push(e)).unwrap();
+        for ev in &events {
+            let line = ev.to_json().to_string();
+            let back = WatchEvent::from_json(&parse(&line).unwrap()).unwrap();
+            assert_eq!(back.to_json().to_string(), line);
+            assert_eq!(back.iteration, ev.iteration);
+            assert_eq!(back.report, ev.report);
+        }
+        assert!(WatchEvent::from_json(&Json::obj(vec![("iteration", Json::Int(0))])).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

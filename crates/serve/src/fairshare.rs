@@ -246,23 +246,11 @@ impl Ledger {
     ///
     /// Returns the human-readable rejection reason.
     pub fn admit(&mut self, tenant: &str, lane: Lane, id: u64) -> Result<(), String> {
-        if self.queued_total >= self.queue_capacity {
-            let reason = format!(
-                "queue full ({} queued, capacity {})",
-                self.queued_total, self.queue_capacity
-            );
-            self.tenant_mut(tenant).counters.rejected += 1;
+        if let Err(reason) = self.admission(tenant) {
+            self.reject(tenant);
             return Err(reason);
         }
         let t = self.tenant_mut(tenant);
-        if t.queued() >= t.quota.max_queued {
-            t.counters.rejected += 1;
-            return Err(format!(
-                "tenant `{tenant}` queue quota full ({} queued, quota {})",
-                t.queued(),
-                t.quota.max_queued
-            ));
-        }
         match lane {
             Lane::High => t.high.push_back(id),
             Lane::Normal => t.normal.push_back(id),
@@ -270,6 +258,38 @@ impl Ledger {
         t.counters.admitted += 1;
         self.queued_total += 1;
         Ok(())
+    }
+
+    /// Why [`Ledger::admit`] would reject a job of `tenant` right now,
+    /// if it would; admits and counts nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the rejection reason `admit` would give.
+    pub(crate) fn admission(&self, tenant: &str) -> Result<(), String> {
+        if self.queued_total >= self.queue_capacity {
+            return Err(format!(
+                "queue full ({} queued, capacity {})",
+                self.queued_total, self.queue_capacity
+            ));
+        }
+        let (queued, quota) = self
+            .tenants
+            .get(tenant)
+            .map_or((0, self.quota_for(tenant)), |t| (t.queued(), t.quota));
+        if queued >= quota.max_queued {
+            return Err(format!(
+                "tenant `{tenant}` queue quota full ({queued} queued, quota {})",
+                quota.max_queued
+            ));
+        }
+        Ok(())
+    }
+
+    /// Counts one rejected submission against `tenant`, for a rejection
+    /// decided from [`Ledger::admission`].
+    pub(crate) fn reject(&mut self, tenant: &str) {
+        self.tenant_mut(tenant).counters.rejected += 1;
     }
 
     /// Enqueues a recovered job, bypassing admission quotas (it was

@@ -22,8 +22,10 @@
 //!   state (placement, routes, grid epoch, RNG stream position, history
 //!   sets, timers) is written atomically to disk, so a SIGKILLed daemon
 //!   resumes every in-flight job **bit-identically** on restart,
-//! - **streaming progress**: `watch` long-polls per-iteration events
-//!   carrying the same JSON produced by `StageTimers::to_json`.
+//! - **streaming progress**: `watch` streams per-iteration events
+//!   carrying the same JSON produced by `StageTimers::to_json`, from
+//!   memory while a job runs and from its `events.jsonl` once it has
+//!   finished.
 //!
 //! The wire protocol and job state machine are documented in
 //! `DESIGN.md` §10.
@@ -38,8 +40,10 @@ pub mod error;
 pub mod fairshare;
 pub mod json;
 pub mod metrics;
+mod persist;
 pub mod scheduler;
 pub mod server;
+mod signal;
 pub mod spec;
 
 pub use checkpoint::{Checkpoint, SavedCell};

@@ -12,20 +12,40 @@
 //! diagnostic-bundle path instead of killing the daemon.
 //!
 //! Every state transition is persisted to `jobs/<id>/state.json` before
-//! it is observable over the wire, so a SIGKILL at any instant leaves a
-//! directory tree from which [`Scheduler::recover`] reconstructs the
-//! queue: `Running` jobs (whose worker died with the process) simply
-//! re-enter their lane and resume from their last checkpoint.
+//! it is observable over the wire, and every event is appended to
+//! `jobs/<id>/events.jsonl` before it is, so a SIGKILL at any instant
+//! leaves a directory tree from which [`Scheduler::recover`]
+//! reconstructs the queue: `Running` jobs (whose worker died with the
+//! process) simply re-enter their lane and resume from their last
+//! checkpoint.
+//!
+//! Only live jobs (queued, running, checkpointed) are held in memory.
+//! A job that reaches a terminal state is folded into the metrics
+//! counters and dropped, and from then on `status`, `watch`, `fetch`
+//! and `cancel` read its directory — the same directory `recover`
+//! reads, so a finished job looks the same whether it finished in this
+//! process or before a restart, and the daemon's memory does not grow
+//! with the number of jobs it has served.
 
-use crate::driver::{run_job, RunOutcome, WatchEvent};
+use crate::driver::{run_job, RunOutcome, WatchEvent, CHECKPOINT_FILE, GP_CHECKPOINT_FILE};
 use crate::error::ServeError;
 use crate::fairshare::{FinishKind, Ledger, TenantQuota, TenantView};
 use crate::json::{parse, Json};
+use crate::persist::{remove_spares, replace_file};
+use crate::signal::ChangeSignal;
 use crate::spec::{JobSpec, JobState, Lane};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+
+/// File name of a job's event log inside its directory: one
+/// [`WatchEvent::to_json`] line per event, appended as it is produced.
+pub const EVENTS_FILE: &str = "events.jsonl";
+
+/// Why `submit` turns a job away once `drain` has begun.
+const DRAINING: &str = "daemon is draining; not accepting jobs";
 
 /// Scheduler tunables.
 #[derive(Debug, Clone)]
@@ -77,14 +97,19 @@ struct JobRecord {
     iterations_done: usize,
     /// Thread budget granted while `Running`.
     granted: usize,
-    /// Per-iteration events observed so far (resume-aware: prefilled
-    /// from the checkpoint's reports on recovery).
+    /// Per-iteration events observed so far, the same list as the
+    /// job's `events.jsonl` (resume-aware: prefilled from that file on
+    /// recovery).
     events: Vec<WatchEvent>,
     /// Cumulative price-cache hit/miss counters from the job's latest
     /// event (the flow's timers accumulate across iterations and survive
     /// checkpoint restore, so this is a per-job lifetime total).
     cache_hits: u64,
     cache_misses: u64,
+    /// Every event reached `events.jsonl`. A job whose log missed one
+    /// stays in memory when it finishes, since its directory could not
+    /// serve `watch` faithfully.
+    logged: bool,
     flags: Arc<JobFlags>,
 }
 
@@ -99,14 +124,34 @@ impl JobRecord {
             events: Vec::new(),
             cache_hits: 0,
             cache_misses: 0,
+            logged: true,
             flags: Arc::new(JobFlags::default()),
         }
     }
 }
 
+/// What the metrics still count of jobs that left memory.
+#[derive(Debug, Default)]
+struct Retired {
+    /// Jobs per terminal state, by wire name.
+    states: BTreeMap<&'static str, usize>,
+    cache_hits: u64,
+    cache_misses: u64,
+}
+
+impl Retired {
+    fn add(&mut self, state: JobState, (hits, misses): (u64, u64)) {
+        *self.states.entry(state.as_str()).or_insert(0) += 1;
+        self.cache_hits += hits;
+        self.cache_misses += misses;
+    }
+}
+
 #[derive(Debug)]
 struct SchedState {
+    /// Live jobs only; finished ones are on disk and in `retired`.
     jobs: BTreeMap<u64, JobRecord>,
+    retired: Retired,
     ledger: Ledger,
     next_id: u64,
     running: usize,
@@ -124,9 +169,11 @@ pub struct Scheduler {
 struct SchedInner {
     config: SchedConfig,
     state: Mutex<SchedState>,
-    /// Woken on every state change: dispatcher re-evaluates, `watch`
-    /// long-polls re-check.
+    /// Woken on every state change: the dispatcher re-evaluates and
+    /// `drain` re-checks.
     cond: Condvar,
+    /// Bumped with `cond`, for the socket workers serving `watch`.
+    changes: Arc<ChangeSignal>,
 }
 
 /// A point-in-time public view of one job, for `status` responses.
@@ -198,6 +245,9 @@ pub struct SchedMetrics {
     pub tenants: Vec<TenantView>,
     /// Count of jobs per lifecycle state, by wire name.
     pub states: BTreeMap<&'static str, usize>,
+    /// Jobs held in memory: the live ones, plus any finished job whose
+    /// directory could not be completed.
+    pub resident: usize,
     /// Price-cache hits summed over every known job's latest timers.
     pub cache_hits: u64,
     /// Price-cache misses summed over every known job's latest timers.
@@ -267,6 +317,7 @@ impl SchedMetrics {
                     ("queued", Json::Int(self.queued as i128)),
                     ("running", Json::Int(self.running as i128)),
                     ("max_running", Json::Int(self.max_running as i128)),
+                    ("resident", Json::Int(self.resident as i128)),
                     ("draining", Json::Bool(self.draining)),
                 ]),
             ),
@@ -316,16 +367,122 @@ fn cache_counters(timers_json: &str) -> (u64, u64) {
     }
 }
 
+/// The price-cache counters of a job's latest event.
+fn last_cache_counters(events: &[WatchEvent]) -> (u64, u64) {
+    events
+        .last()
+        .map_or((0, 0), |ev| cache_counters(&ev.timers_json))
+}
+
+/// The numeric entries of `jobs/`: every id a job directory exists for.
+fn job_ids(jobs_root: &Path) -> Result<Vec<u64>, ServeError> {
+    let mut ids = Vec::new();
+    for entry in std::fs::read_dir(jobs_root)? {
+        if let Some(id) = entry?
+            .file_name()
+            .to_str()
+            .and_then(|s| s.parse::<u64>().ok())
+        {
+            ids.push(id);
+        }
+    }
+    ids.sort_unstable();
+    Ok(ids)
+}
+
+/// A job as its directory records it.
+struct JobDir {
+    spec: JobSpec,
+    state: JobState,
+    error: Option<String>,
+}
+
+fn read_job_dir(dir: &Path) -> Result<JobDir, ServeError> {
+    let spec_text = std::fs::read_to_string(dir.join("spec.json"))?;
+    let spec = JobSpec::from_json(&parse(&spec_text)?)?;
+    let state_text = std::fs::read_to_string(dir.join("state.json"))?;
+    let state_json = parse(&state_text)?;
+    let state = state_json
+        .get("state")
+        .and_then(Json::as_str)
+        .and_then(JobState::from_name)
+        .ok_or_else(|| ServeError::new("bad state.json"))?;
+    let error = state_json
+        .get("error")
+        .and_then(Json::as_str)
+        .map(str::to_string);
+    Ok(JobDir { spec, state, error })
+}
+
+/// Writes `state.json` atomically (see `persist`).
+fn write_state(dir: &Path, state: JobState, error: Option<&str>) -> std::io::Result<()> {
+    let mut fields = vec![("state", Json::str(state.as_str()))];
+    if let Some(e) = error {
+        fields.push(("error", Json::str(e)));
+    }
+    replace_file(
+        &dir.join("state.json"),
+        Json::obj(fields).to_string().as_bytes(),
+    )
+}
+
+/// The events in an `events.jsonl` text: every newline-terminated line
+/// up to the first that does not parse. A line without its newline is a
+/// write torn by a crash, and is dropped.
+fn parse_events(text: &str) -> Vec<WatchEvent> {
+    let mut events = Vec::new();
+    let mut rest = text;
+    while let Some((line, tail)) = rest.split_once('\n') {
+        let parsed = parse(line)
+            .map_err(ServeError::from)
+            .and_then(|v| WatchEvent::from_json(&v));
+        match parsed {
+            Ok(ev) => events.push(ev),
+            Err(_) => break,
+        }
+        rest = tail;
+    }
+    events
+}
+
+fn read_events(dir: &Path) -> Vec<WatchEvent> {
+    parse_events(&std::fs::read_to_string(dir.join(EVENTS_FILE)).unwrap_or_default())
+}
+
+/// Appends one event line to the job's log in a single write. `log` is
+/// the log opened by an earlier call of the same run, if any.
+fn append_event(
+    log: &mut Option<std::fs::File>,
+    dir: &Path,
+    ev: &WatchEvent,
+) -> std::io::Result<()> {
+    let mut line = ev.to_json().to_string();
+    line.push('\n');
+    let file = match log {
+        Some(file) => file,
+        None => log.insert(
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(dir.join(EVENTS_FILE))?,
+        ),
+    };
+    file.write_all(line.as_bytes())
+}
+
 impl Scheduler {
     /// Creates a scheduler, its data directory, and the dispatcher
-    /// thread.
+    /// thread. Job ids continue past every directory already under
+    /// `jobs/`, so a new job never lands in an old job's directory.
     ///
     /// # Errors
     ///
     /// Returns a [`ServeError`] when the data directory cannot be
-    /// created.
+    /// created or read.
     pub fn new(config: SchedConfig) -> Result<Scheduler, ServeError> {
-        std::fs::create_dir_all(config.data_dir.join("jobs"))?;
+        let jobs_root = config.data_dir.join("jobs");
+        std::fs::create_dir_all(&jobs_root)?;
+        let next_id = job_ids(&jobs_root)?.last().map_or(0, |&id| id + 1);
         let free_threads = config.total_threads.max(1);
         let default_quota = config.default_quota.unwrap_or_else(|| {
             TenantQuota::unlimited_within(config.queue_capacity, config.max_running, free_threads)
@@ -336,13 +493,15 @@ impl Scheduler {
                 config,
                 state: Mutex::new(SchedState {
                     jobs: BTreeMap::new(),
+                    retired: Retired::default(),
                     ledger,
-                    next_id: 0,
+                    next_id,
                     running: 0,
                     free_threads,
                     draining: false,
                 }),
                 cond: Condvar::new(),
+                changes: Arc::new(ChangeSignal::default()),
             }),
         };
         let for_dispatch = sched.clone();
@@ -363,32 +522,36 @@ impl Scheduler {
         &self.inner.config.data_dir
     }
 
+    /// The signal bumped on every job event and state change. Socket
+    /// workers wait on it between service cycles; the server also bumps
+    /// it when it hands a worker a new connection.
+    #[must_use]
+    pub(crate) fn changes(&self) -> &Arc<ChangeSignal> {
+        &self.inner.changes
+    }
+
+    /// Wakes the dispatcher, `drain`, and the socket workers after a
+    /// state change has been made visible.
+    fn notify(&self) {
+        self.inner.cond.notify_all();
+        self.inner.changes.bump();
+    }
+
     /// Scans `jobs/` and re-enqueues every job a previous daemon process
     /// left unfinished. `Running` jobs become `Queued` again (their
     /// worker died with the old process; their checkpoint carries the
-    /// completed iterations). Terminal jobs are kept for `status` /
-    /// `fetch` but not re-run. Returns how many jobs were re-enqueued.
+    /// completed iterations). Terminal jobs stay on disk, where
+    /// `status` / `watch` / `fetch` read them; only their counts and
+    /// price-cache totals enter the metrics. Returns how many jobs were
+    /// re-enqueued.
     ///
     /// # Errors
     ///
     /// Returns a [`ServeError`] when the jobs directory is unreadable;
     /// individual corrupt job dirs are skipped, not fatal.
     pub fn recover(&self) -> Result<usize, ServeError> {
-        let jobs_root = self.inner.config.data_dir.join("jobs");
         let mut revived = 0;
-        let mut entries: Vec<u64> = Vec::new();
-        for entry in std::fs::read_dir(&jobs_root)? {
-            let entry = entry?;
-            if let Some(id) = entry
-                .file_name()
-                .to_str()
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                entries.push(id);
-            }
-        }
-        entries.sort_unstable();
-        for id in entries {
+        for id in job_ids(&self.inner.config.data_dir.join("jobs"))? {
             match self.recover_one(id) {
                 Ok(true) => revived += 1,
                 Ok(false) => {}
@@ -396,86 +559,112 @@ impl Scheduler {
             }
         }
         if revived > 0 {
-            self.inner.cond.notify_all();
+            self.notify();
         }
         Ok(revived)
     }
 
     fn recover_one(&self, id: u64) -> Result<bool, ServeError> {
         let dir = self.job_dir(id);
-        let spec_text = std::fs::read_to_string(dir.join("spec.json"))?;
-        let spec = JobSpec::from_json(&parse(&spec_text)?)?;
-        let state_text = std::fs::read_to_string(dir.join("state.json"))?;
-        let state_json = parse(&state_text)?;
-        let state = state_json
-            .get("state")
-            .and_then(Json::as_str)
-            .and_then(JobState::from_name)
-            .ok_or_else(|| ServeError::new("bad state.json"))?;
-        let error = state_json
-            .get("error")
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        let ckpt = crate::checkpoint::Checkpoint::load(&dir.join(crate::driver::CHECKPOINT_FILE))
-            .unwrap_or(None);
+        let JobDir { spec, state, error } = read_job_dir(&dir)?;
+        if state.is_terminal() {
+            let counters = last_cache_counters(&read_events(&dir));
+            lock_state(&self.inner).retired.add(state, counters);
+            return Ok(false);
+        }
+        let ckpt = crate::checkpoint::Checkpoint::load(&dir.join(CHECKPOINT_FILE)).unwrap_or(None);
         // Progress counts over the combined (GP + CR&P) range: a CR&P
         // checkpoint implies the GP phase finished, so its iteration
         // count is offset by the GP phase; with only a GP snapshot the
         // solver's own iteration counter is the progress.
         let iterations_done = match &ckpt {
             Some(c) => spec.gp_phase_iterations() + c.iterations_done,
-            None => crate::checkpoint::load_gp_state(&dir.join(crate::driver::GP_CHECKPOINT_FILE))
+            None => crate::checkpoint::load_gp_state(&dir.join(GP_CHECKPOINT_FILE))
                 .unwrap_or(None)
                 .map_or(0, |s| s.iter),
         };
+        // The resumed run starts at the checkpoint and emits every later
+        // event again, so the log keeps exactly the checkpointed prefix:
+        // a torn last line and any event after the checkpoint go.
+        let log = std::fs::read_to_string(dir.join(EVENTS_FILE)).unwrap_or_default();
+        let mut events = parse_events(&log);
+        events.truncate(iterations_done);
+        let kept: String = events
+            .iter()
+            .map(|ev| format!("{}\n", ev.to_json()))
+            .collect();
+        if kept != log {
+            let tmp = dir.join("events.jsonl.tmp");
+            std::fs::write(&tmp, kept)?;
+            std::fs::rename(&tmp, dir.join(EVENTS_FILE))?;
+        }
 
         let mut st = lock_state(&self.inner);
-        st.next_id = st.next_id.max(id + 1);
-        let revive = !state.is_terminal();
-        let record_state = if revive { JobState::Queued } else { state };
         let lane = spec.priority;
         let tenant = spec.tenant.clone();
-        let mut rec = JobRecord::new(spec, record_state);
+        let mut rec = JobRecord::new(spec, JobState::Queued);
         rec.error = error;
         rec.iterations_done = iterations_done;
+        (rec.cache_hits, rec.cache_misses) = last_cache_counters(&events);
+        rec.events = events;
         st.jobs.insert(id, rec);
-        if revive {
-            st.ledger.enqueue_recovered(&tenant, lane, id);
-        }
+        st.ledger.enqueue_recovered(&tenant, lane, id);
         drop(st);
-        if revive {
-            self.persist_state(id, JobState::Queued, None);
-        }
-        Ok(revive)
+        self.persist_state(id, JobState::Queued, None);
+        Ok(true)
     }
 
     /// Admits a job or rejects it with a reason (queue full, tenant
     /// quota full, or draining).
     ///
+    /// The job's directory, `spec.json` and `state.json` are written
+    /// before the ledger sees the job: the dispatcher may start it the
+    /// moment it is admitted, and its first checkpoint needs the
+    /// directory. A rejected job's directory is removed again.
+    ///
     /// # Errors
     ///
-    /// Returns a [`ServeError`] with the rejection reason; the job is
-    /// not recorded.
+    /// Returns a [`ServeError`] with the rejection reason, or when the
+    /// job directory cannot be written; the job is not recorded.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, ServeError> {
-        let id;
-        {
+        let id = {
             let mut st = lock_state(&self.inner);
+            // Turn away what admission would reject before touching the
+            // disk. The checks below decide, since a drain may begin or
+            // the queue fill meanwhile.
             if st.draining {
-                return Err(ServeError::new("daemon is draining; not accepting jobs"));
+                return Err(ServeError::new(DRAINING));
             }
-            id = st.next_id;
-            st.ledger
-                .admit(&spec.tenant, spec.priority, id)
-                .map_err(ServeError::new)?;
+            if let Err(reason) = st.ledger.admission(&spec.tenant) {
+                st.ledger.reject(&spec.tenant);
+                return Err(ServeError::new(reason));
+            }
             st.next_id += 1;
-            st.jobs
-                .insert(id, JobRecord::new(spec.clone(), JobState::Queued));
-        }
+            st.next_id - 1
+        };
         let dir = self.job_dir(id);
-        std::fs::create_dir_all(&dir)?;
-        std::fs::write(dir.join("spec.json"), spec.to_json().to_string())?;
-        self.persist_state(id, JobState::Queued, None);
-        self.inner.cond.notify_all();
+        // `create_dir`, not `create_dir_all`: a directory that already
+        // exists belongs to someone else and must not be adopted.
+        std::fs::create_dir(&dir)?;
+        let admitted = std::fs::write(dir.join("spec.json"), spec.to_json().to_string())
+            .and_then(|()| write_state(&dir, JobState::Queued, None))
+            .map_err(ServeError::from)
+            .and_then(|()| {
+                let mut st = lock_state(&self.inner);
+                if st.draining {
+                    return Err(ServeError::new(DRAINING));
+                }
+                st.ledger
+                    .admit(&spec.tenant, spec.priority, id)
+                    .map_err(ServeError::new)?;
+                st.jobs.insert(id, JobRecord::new(spec, JobState::Queued));
+                Ok(())
+            });
+        if let Err(e) = admitted {
+            let _ = std::fs::remove_dir_all(&dir);
+            return Err(e);
+        }
+        self.notify();
         Ok(id)
     }
 
@@ -487,10 +676,10 @@ impl Scheduler {
     /// Returns a [`ServeError`] for unknown job ids.
     pub fn cancel(&self, id: u64) -> Result<JobState, ServeError> {
         let mut st = lock_state(&self.inner);
-        let rec = st
-            .jobs
-            .get(&id)
-            .ok_or_else(|| ServeError::new(format!("unknown job {id}")))?;
+        let Some(rec) = st.jobs.get(&id) else {
+            drop(st);
+            return self.retired_job(id).map(|job| job.state);
+        };
         let state = rec.state;
         let tenant = rec.spec.tenant.clone();
         match state {
@@ -505,8 +694,10 @@ impl Scheduler {
                     rec.flags.cancel.store(true, Ordering::Release);
                 }
                 drop(st);
-                self.persist_state(id, JobState::Cancelled, None);
-                self.inner.cond.notify_all();
+                if self.persist_state(id, JobState::Cancelled, None) {
+                    self.retire(id);
+                }
+                self.notify();
                 Ok(JobState::Cancelled)
             }
             JobState::Running => {
@@ -515,6 +706,33 @@ impl Scheduler {
             }
             terminal => Ok(terminal),
         }
+    }
+
+    /// A finished job that is no longer in memory, read from its
+    /// directory. Only terminal states are served from disk: a live job
+    /// not in memory is a submission still being written, or one a
+    /// `recover` has not revived, and is unknown until it is admitted.
+    fn retired_job(&self, id: u64) -> Result<JobDir, ServeError> {
+        match read_job_dir(&self.job_dir(id)) {
+            Ok(job) if job.state.is_terminal() => Ok(job),
+            _ => Err(ServeError::new(format!("unknown job {id}"))),
+        }
+    }
+
+    fn retired_status(&self, id: u64) -> Result<JobStatus, ServeError> {
+        let job = self.retired_job(id)?;
+        let last_event = read_events(&self.job_dir(id)).pop();
+        Ok(JobStatus {
+            id,
+            tenant: job.spec.tenant.clone(),
+            state: job.state,
+            priority: job.spec.priority,
+            iterations_done: last_event.as_ref().map_or(0, |ev| ev.iteration + 1),
+            iterations_total: job.spec.total_iterations(),
+            granted_threads: 0,
+            error: job.error,
+            last_event,
+        })
     }
 
     fn status_of(rec: &JobRecord, id: u64) -> JobStatus {
@@ -537,22 +755,38 @@ impl Scheduler {
     ///
     /// Returns a [`ServeError`] for unknown job ids.
     pub fn status(&self, id: u64) -> Result<JobStatus, ServeError> {
-        let st = lock_state(&self.inner);
-        let rec = st
+        let live = lock_state(&self.inner)
             .jobs
             .get(&id)
-            .ok_or_else(|| ServeError::new(format!("unknown job {id}")))?;
-        Ok(Self::status_of(rec, id))
+            .map(|rec| Self::status_of(rec, id));
+        match live {
+            Some(status) => Ok(status),
+            None => self.retired_status(id),
+        }
     }
 
-    /// Status of every known job, in id order.
+    /// Status of every known job, in id order: the live jobs from
+    /// memory and the finished ones from their directories.
     #[must_use]
     pub fn status_all(&self) -> Vec<JobStatus> {
-        let st = lock_state(&self.inner);
-        st.jobs
-            .iter()
-            .map(|(&id, rec)| Self::status_of(rec, id))
-            .collect()
+        let mut all: BTreeMap<u64, JobStatus> = {
+            let st = lock_state(&self.inner);
+            st.jobs
+                .iter()
+                .map(|(&id, rec)| (id, Self::status_of(rec, id)))
+                .collect()
+        };
+        // A job that retires after the snapshot above is listed from
+        // memory; one that retired before it is on disk.
+        let on_disk = job_ids(&self.inner.config.data_dir.join("jobs")).unwrap_or_default();
+        for id in on_disk {
+            if let std::collections::btree_map::Entry::Vacant(slot) = all.entry(id) {
+                if let Ok(status) = self.retired_status(id) {
+                    slot.insert(status);
+                }
+            }
+        }
+        all.into_values().collect()
     }
 
     /// A consistent snapshot of queue depths, tenant accounting, thread
@@ -561,9 +795,9 @@ impl Scheduler {
     #[must_use]
     pub fn metrics(&self) -> SchedMetrics {
         let st = lock_state(&self.inner);
-        let mut states: BTreeMap<&'static str, usize> = BTreeMap::new();
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
+        let mut states = st.retired.states.clone();
+        let mut cache_hits = st.retired.cache_hits;
+        let mut cache_misses = st.retired.cache_misses;
         for rec in st.jobs.values() {
             *states.entry(rec.state.as_str()).or_insert(0) += 1;
             cache_hits += rec.cache_hits;
@@ -579,44 +813,17 @@ impl Scheduler {
             draining: st.draining,
             tenants: st.ledger.views(),
             states,
+            resident: st.jobs.len(),
             cache_hits,
             cache_misses,
         }
     }
 
-    /// Blocks until the job has produced an event with index `>= from`
-    /// or reached a terminal state; returns all events from `from` on
-    /// and the job's current state. This is the long-poll behind the
-    /// `watch` verb.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ServeError`] for unknown job ids.
-    pub fn watch(&self, id: u64, from: usize) -> Result<(Vec<WatchEvent>, JobState), ServeError> {
-        let mut st = lock_state(&self.inner);
-        loop {
-            let rec = st
-                .jobs
-                .get(&id)
-                .ok_or_else(|| ServeError::new(format!("unknown job {id}")))?;
-            if rec.events.len() > from || rec.state.is_terminal() {
-                let events = rec.events.get(from..).unwrap_or(&[]).to_vec();
-                return Ok((events, rec.state));
-            }
-            let (guard, _timeout) = self
-                .inner
-                .cond
-                // crp-lint: allow(held-lock-blocking, condvar wait atomically releases the state mutex it is paired with; no other lock is held
-                .wait_timeout(st, std::time::Duration::from_millis(500))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-        }
-    }
-
-    /// Non-blocking `watch`: returns whatever events exist from `from`
-    /// on (possibly none) and the job's current state, immediately.
-    /// The connection pool polls this so one slow watcher cannot stall
-    /// a socket worker.
+    /// Returns whatever events exist from index `from` on (possibly
+    /// none) and the job's current state, immediately. This is the
+    /// non-blocking poll behind the `watch` verb: a socket worker calls
+    /// it again whenever the scheduler's change signal moves, so one slow
+    /// watcher cannot stall a socket worker.
     ///
     /// # Errors
     ///
@@ -626,13 +833,16 @@ impl Scheduler {
         id: u64,
         from: usize,
     ) -> Result<(Vec<WatchEvent>, JobState), ServeError> {
-        let st = lock_state(&self.inner);
-        let rec = st
+        let live = lock_state(&self.inner)
             .jobs
             .get(&id)
-            .ok_or_else(|| ServeError::new(format!("unknown job {id}")))?;
-        let events = rec.events.get(from..).unwrap_or(&[]).to_vec();
-        Ok((events, rec.state))
+            .map(|rec| (rec.events.get(from..).unwrap_or(&[]).to_vec(), rec.state));
+        if let Some(poll) = live {
+            return Ok(poll);
+        }
+        let state = self.retired_job(id)?.state;
+        let events = read_events(&self.job_dir(id));
+        Ok((events.get(from..).unwrap_or(&[]).to_vec(), state))
     }
 
     /// Begins draining: rejects new submissions, asks every running job
@@ -646,7 +856,7 @@ impl Scheduler {
                 rec.flags.pause.store(true, Ordering::Release);
             }
         }
-        self.inner.cond.notify_all();
+        self.notify();
         while st.running > 0 {
             let guard = self
                 .inner
@@ -658,19 +868,37 @@ impl Scheduler {
         }
     }
 
-    /// Writes `state.json` for a job (atomically: tmp + rename).
-    fn persist_state(&self, id: u64, state: JobState, error: Option<&str>) {
+    /// Writes `state.json` for a job. Returns whether it reached disk:
+    /// persistence is best-effort durability, not correctness — a failed
+    /// write degrades crash recovery, never live behavior, and keeps a
+    /// finished job in memory.
+    fn persist_state(&self, id: u64, state: JobState, error: Option<&str>) -> bool {
         let dir = self.job_dir(id);
-        let mut fields = vec![("state", Json::str(state.as_str()))];
-        if let Some(e) = error {
-            fields.push(("error", Json::str(e)));
+        let written = write_state(&dir, state, error).is_ok();
+        if written && state.is_terminal() {
+            // Nothing in a finished job's directory is rewritten again.
+            for file in ["state.json", CHECKPOINT_FILE, GP_CHECKPOINT_FILE] {
+                remove_spares(&dir.join(file));
+            }
         }
-        let text = Json::obj(fields).to_string();
-        let tmp = dir.join("state.json.tmp");
-        // Persistence is best-effort durability, not correctness: a
-        // failed write degrades crash recovery, never live behavior.
-        if std::fs::write(&tmp, text).is_ok() {
-            let _ = std::fs::rename(&tmp, dir.join("state.json"));
+        written
+    }
+
+    /// Drops a finished job's record, folding it into the retired
+    /// counters, once its directory holds everything `status`, `watch`
+    /// and `fetch` serve. Call it after the terminal `state.json` is
+    /// written.
+    fn retire(&self, id: u64) {
+        let mut st = lock_state(&self.inner);
+        if st
+            .jobs
+            .get(&id)
+            .is_some_and(|rec| rec.state.is_terminal() && rec.logged)
+        {
+            if let Some(rec) = st.jobs.remove(&id) {
+                st.retired
+                    .add(rec.state, (rec.cache_hits, rec.cache_misses));
+            }
         }
     }
 
@@ -759,17 +987,22 @@ impl Scheduler {
         let dir = self.job_dir(id);
         let sched = self.clone();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut log = None;
             let mut on_event = |ev: WatchEvent| {
+                // The log gets the event before memory does, so a job
+                // that leaves memory has all of its events on disk.
+                let logged = append_event(&mut log, &dir, &ev).is_ok();
                 let (hits, misses) = cache_counters(&ev.timers_json);
                 let mut st = lock_state(&sched.inner);
                 if let Some(rec) = st.jobs.get_mut(&id) {
                     rec.iterations_done = ev.iteration + 1;
                     rec.cache_hits = hits;
                     rec.cache_misses = misses;
+                    rec.logged &= logged;
                     rec.events.push(ev);
                 }
                 drop(st);
-                sched.inner.cond.notify_all();
+                sched.notify();
             };
             run_job(
                 &spec,
@@ -822,8 +1055,10 @@ impl Scheduler {
             st.ledger.finish(&tenant, granted, kind);
         }
         drop(st);
-        self.persist_state(id, final_state, error.as_deref());
-        self.inner.cond.notify_all();
+        if self.persist_state(id, final_state, error.as_deref()) && final_state.is_terminal() {
+            self.retire(id);
+        }
+        self.notify();
     }
 }
 
@@ -863,16 +1098,46 @@ mod tests {
         .unwrap()
     }
 
+    /// The `watch` verb's wait: polls until job `id` has an event at
+    /// index `from` or later or is terminal, sleeping on the change
+    /// signal between polls.
+    fn watch(
+        s: &Scheduler,
+        id: u64,
+        from: usize,
+    ) -> Result<(Vec<WatchEvent>, JobState), ServeError> {
+        loop {
+            let seen = s.changes().generation();
+            let (events, state) = s.watch_poll(id, from)?;
+            if !events.is_empty() || state.is_terminal() {
+                return Ok((events, state));
+            }
+            s.changes()
+                .wait_past(seen, std::time::Duration::from_millis(500));
+        }
+    }
+
     fn wait_terminal(s: &Scheduler, id: u64) -> JobState {
-        let (_, state) = s.watch(id, usize::MAX).unwrap();
+        let (_, state) = watch(s, id, usize::MAX).unwrap();
         state
+    }
+
+    /// Waits until no job is resident. A finished job leaves memory
+    /// just after its terminal state is persisted, so a watcher can see
+    /// that state a moment before the record is gone.
+    fn wait_retired(s: &Scheduler) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while s.metrics().resident > 0 {
+            assert!(std::time::Instant::now() < deadline, "jobs stay resident");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     #[test]
     fn submit_run_watch_completes() {
         let s = sched("basic", 4);
         let id = s.submit(tiny_spec(2)).unwrap();
-        let (events, state) = s.watch(id, 0).unwrap();
+        let (events, state) = watch(&s, id, 0).unwrap();
         assert!(!events.is_empty());
         let state = if state.is_terminal() {
             state
@@ -905,6 +1170,36 @@ mod tests {
         let e = rejected.expect("expected an admission rejection");
         assert!(e.msg.contains("queue full"), "{e}");
         assert!(accepted >= 1);
+        // The rejected job's directory was removed again.
+        let dirs = std::fs::read_dir(s.data_dir().join("jobs"))
+            .unwrap()
+            .count();
+        assert_eq!(dirs, accepted);
+    }
+
+    /// The job directory is written before the ledger can dispatch the
+    /// job, so a job never runs without a place for its checkpoints.
+    /// Here the directory cannot be created at all: the submission must
+    /// fail without admitting anything.
+    #[test]
+    fn submit_admits_only_after_the_job_dir_is_written() {
+        let s = sched("dir-first", 4);
+        // A plain file where the next job's directory would go.
+        std::fs::write(s.data_dir().join("jobs/0"), b"").unwrap();
+        let e = s.submit(tiny_spec(1)).unwrap_err();
+        assert!(e.msg.contains("io error"), "{e}");
+        assert!(
+            s.status(0).is_err(),
+            "a job without a directory was admitted"
+        );
+        let m = s.metrics();
+        assert_eq!(m.resident, 0);
+        assert_eq!(m.queued + m.running, 0);
+        assert!(m.tenants.iter().all(|t| t.counters.admitted == 0));
+        // The next submission gets a fresh id and runs to completion.
+        let id = s.submit(tiny_spec(1)).unwrap();
+        assert_ne!(id, 0);
+        assert_eq!(wait_terminal(&s, id), JobState::Done);
     }
 
     #[test]
@@ -960,12 +1255,98 @@ mod tests {
         assert_eq!(s.status(c).unwrap().state, JobState::Cancelled);
     }
 
+    /// Finished jobs leave memory; every verb then reads their
+    /// directories, and so does a new scheduler over the same data dir,
+    /// which also continues the ids past them.
+    #[test]
+    fn finished_jobs_are_served_from_their_directories() {
+        let s = sched("retire", 4);
+        let a = s.submit(tiny_spec(2)).unwrap();
+        let b = s.submit(tiny_spec(50)).unwrap();
+        assert_eq!(wait_terminal(&s, a), JobState::Done);
+        s.cancel(b).unwrap();
+        assert_eq!(wait_terminal(&s, b), JobState::Cancelled);
+        wait_retired(&s);
+
+        let status = s.status(a).unwrap();
+        assert_eq!(status.iterations_done, 2);
+        assert_eq!(status.last_event.as_ref().map(|e| e.iteration), Some(1));
+        let (events, state) = s.watch_poll(a, 0).unwrap();
+        assert_eq!((events.len(), state), (2, JobState::Done));
+        assert_eq!(s.watch_poll(a, 1).unwrap().0, events[1..]);
+        assert_eq!(s.cancel(a).unwrap(), JobState::Done);
+        let all = s.status_all();
+        assert_eq!(all.iter().map(|j| j.id).collect::<Vec<_>>(), [a, b]);
+        assert_eq!(all[0], status);
+        // A finished job's directory keeps no spare of a rewritten file.
+        let names = |id: u64| {
+            let mut names: Vec<String> = std::fs::read_dir(s.job_dir(id))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(
+            names(a),
+            [
+                CHECKPOINT_FILE,
+                EVENTS_FILE,
+                crate::driver::RESULT_DEF_FILE,
+                crate::driver::RESULT_GUIDE_FILE,
+                "spec.json",
+                "state.json",
+            ]
+        );
+        assert!(
+            names(b)
+                .iter()
+                .all(|n| !n.ends_with(".tmp") && !n.ends_with(".old")),
+            "{:?}",
+            names(b)
+        );
+
+        let s2 = Scheduler::new(SchedConfig {
+            data_dir: s.data_dir().to_path_buf(),
+            ..SchedConfig::default()
+        })
+        .unwrap();
+        assert_eq!(s2.status(a).unwrap(), status);
+        assert_eq!(s2.status_all(), all);
+        assert!(s2.submit(tiny_spec(1)).unwrap() > b);
+    }
+
+    #[test]
+    fn event_log_stops_at_a_torn_or_corrupt_line() {
+        let ev = |iteration| WatchEvent {
+            iteration,
+            total: 3,
+            report: crp_core::IterationReport {
+                iteration,
+                critical_cells: 1,
+                candidates: 2,
+                moved_cells: 0,
+                rerouted_nets: 0,
+                cost_before: 1.5,
+                cost_after: 1.25,
+            },
+            timers_json: "{\"ecc_cache_hits\":4,\"ecc_cache_misses\":6}".to_string(),
+        };
+        let line = |i| format!("{}\n", ev(i).to_json());
+        let torn = format!("{}{}{}", line(0), line(1), &line(2)[..20]);
+        let events = parse_events(&torn);
+        assert_eq!(events, vec![ev(0), ev(1)]);
+        assert_eq!(last_cache_counters(&events), (4, 6));
+        let corrupt = format!("{}not json\n{}", line(0), line(2));
+        assert_eq!(parse_events(&corrupt), vec![ev(0)]);
+    }
+
     #[test]
     fn unknown_job_is_an_error() {
         let s = sched("unknown", 4);
         assert!(s.status(99).is_err());
         assert!(s.cancel(99).is_err());
-        assert!(s.watch(99, 0).is_err());
+        assert!(watch(&s, 99, 0).is_err());
         assert!(s.watch_poll(99, 0).is_err());
     }
 
@@ -974,14 +1355,20 @@ mod tests {
         let s = sched("drain", 8);
         let id = s.submit(tiny_spec(50)).unwrap();
         // Wait until it has produced at least one event, then drain.
-        let _ = s.watch(id, 0).unwrap();
+        let _ = watch(&s, id, 0).unwrap();
         s.drain();
         let state = s.status(id).unwrap().state;
         assert!(
             state == JobState::Checkpointed || state == JobState::Done,
             "after drain: {state:?}"
         );
-        assert!(s.submit(tiny_spec(1)).is_err(), "draining must reject");
+        let e = s.submit(tiny_spec(1)).unwrap_err();
+        assert!(e.msg.contains("draining"), "{e}");
+        // The rejected job left no directory behind.
+        let dirs = std::fs::read_dir(s.data_dir().join("jobs"))
+            .unwrap()
+            .count();
+        assert_eq!(dirs, 1);
         // Per-tenant accounting returned to zero.
         let m = s.metrics();
         for t in &m.tenants {
@@ -1005,7 +1392,7 @@ mod tests {
         {
             let s = Scheduler::new(config.clone()).unwrap();
             let id = s.submit(tiny_spec(50)).unwrap();
-            let _ = s.watch(id, 0).unwrap(); // at least one iteration done
+            let _ = watch(&s, id, 0).unwrap(); // at least one iteration done
             s.drain(); // park it with a checkpoint, like a graceful stop
         }
         // "New process": a fresh scheduler over the same data dir.

@@ -26,24 +26,46 @@
 //! stalls the other connections on the same worker. Further request
 //! lines on that connection are buffered until the watch completes,
 //! preserving the protocol's serial request/response order.
+//!
+//! ## Wakeups
+//!
+//! A worker with nothing to do waits on the scheduler's
+//! `ChangeSignal`, which every job event and state change bumps, and
+//! which the accept thread bumps when it hands over a connection. The
+//! worker reads the generation *before* servicing, so a change that
+//! lands mid-cycle ends the next wait at once. Request bytes on a socket
+//! bump nothing (std has no readiness API), so the wait also times out:
+//! 50 µs right after the worker last made progress, doubling per idle
+//! cycle up to 2 ms. A client's next request usually follows its last
+//! response closely and is picked up within the short waits; an idle
+//! daemon settles at one wakeup per worker every 2 ms.
+//!
+//! Every socket sets `TCP_NODELAY`: responses are whole lines written
+//! at once, and Nagle's algorithm would only hold a line back until the
+//! client ACKs the previous one.
 
 use crate::driver::{RESULT_DEF_FILE, RESULT_GUIDE_FILE};
 use crate::error::ServeError;
 use crate::json::{parse, Json};
 use crate::metrics::ServerMetrics;
 use crate::scheduler::Scheduler;
+use crate::signal::ChangeSignal;
 use crate::spec::{JobMode, JobSpec, JobState};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Longest request line the server accepts; longer lines close the
 /// connection with an error (a submit spec is a few hundred bytes).
 const MAX_LINE: usize = 1 << 20;
 
-/// Worker poll cadence when every connection is idle.
-const IDLE_SLEEP: std::time::Duration = std::time::Duration::from_millis(2);
+/// A worker's first wait after it last made progress.
+const MIN_WAIT: Duration = Duration::from_micros(50);
+
+/// A worker's longest wait: how often an idle worker polls its sockets.
+const MAX_WAIT: Duration = Duration::from_millis(2);
 
 /// Connection-pool sizing.
 #[derive(Debug, Clone, Copy)]
@@ -121,9 +143,14 @@ impl Server {
             metrics: Arc::clone(&metrics),
         };
         let max_conns = pool.max_conns.max(1);
+        let changes = Arc::clone(server.scheduler.changes());
         std::thread::Builder::new()
             .name("crpd-accept".to_string())
-            .spawn(move || accept_loop(&listener, &inboxes, max_conns, &shutdown, &metrics))
+            .spawn(move || {
+                accept_loop(
+                    &listener, &inboxes, max_conns, &shutdown, &metrics, &changes,
+                );
+            })
             .map_err(|e| ServeError::new(format!("cannot spawn accept loop: {e}")))?;
         Ok(server)
     }
@@ -198,6 +225,7 @@ fn accept_loop(
     max_conns: usize,
     shutdown: &Arc<AtomicBool>,
     metrics: &Arc<ServerMetrics>,
+    changes: &ChangeSignal,
 ) {
     let mut next_worker = 0usize;
     loop {
@@ -211,26 +239,23 @@ fn accept_loop(
                     // accept(): the workers are exiting, so an enqueued
                     // connection would never be serviced. Turn it away.
                     metrics.conn_rejected();
-                    let mut s = stream;
-                    let _ = s.write_all(err("server shutting down").as_bytes());
-                    let _ = s.write_all(b"\n");
+                    turn_away(stream, "server shutting down");
                     return;
                 }
                 if metrics.open_conns() >= max_conns as u64 {
                     // Pool full: one error line, best effort, then drop.
                     metrics.conn_rejected();
-                    let mut s = stream;
-                    let _ = s.write_all(err("server at connection capacity").as_bytes());
-                    let _ = s.write_all(b"\n");
+                    turn_away(stream, "server at connection capacity");
                     continue;
                 }
-                if stream.set_nonblocking(true).is_err() {
+                if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
                     continue;
                 }
                 metrics.conn_opened();
                 let inbox = &inboxes[next_worker % inboxes.len()];
                 next_worker = next_worker.wrapping_add(1);
                 lock_inbox(inbox).push(Conn::new(stream));
+                changes.bump();
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(std::time::Duration::from_millis(5));
@@ -238,6 +263,14 @@ fn accept_loop(
             Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
         }
     }
+}
+
+/// Writes one error line to a connection the pool will not take, best
+/// effort, and drops it.
+fn turn_away(mut stream: TcpStream, why: &str) {
+    let mut line = Vec::new();
+    push_line(&mut line, &err(why));
+    let _ = stream.write_all(&line);
 }
 
 fn lock_inbox(inbox: &Mutex<Vec<Conn>>) -> std::sync::MutexGuard<'_, Vec<Conn>> {
@@ -254,8 +287,13 @@ fn worker_loop(
     shutdown: &Arc<AtomicBool>,
     metrics: &Arc<ServerMetrics>,
 ) {
+    let changes = scheduler.changes();
     let mut conns: Vec<Conn> = Vec::new();
+    let mut wait = MIN_WAIT;
     loop {
+        // Read before servicing: a change that lands while the
+        // connections below are serviced must cut the wait short.
+        let seen = changes.generation();
         {
             let mut incoming = lock_inbox(inbox);
             conns.append(&mut incoming);
@@ -292,8 +330,11 @@ fn worker_loop(
             }
             return;
         }
-        if !active {
-            std::thread::sleep(IDLE_SLEEP);
+        if active {
+            wait = MIN_WAIT;
+        } else {
+            changes.wait_past(seen, wait);
+            wait = (wait * 2).min(MAX_WAIT);
         }
     }
 }
@@ -664,6 +705,7 @@ fn handle_request(
             // persisted by the time the client reads this line.
             scheduler.drain();
             shutdown.store(true, Ordering::Release);
+            scheduler.changes().bump();
             push_line(out, &ok(vec![("drained", Json::Bool(true))]));
             metrics.record("shutdown", true, elapsed_us(started));
             Action::Close

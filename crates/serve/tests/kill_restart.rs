@@ -41,6 +41,28 @@ fn start_daemon(data_dir: &std::path::Path) -> Daemon {
     Daemon { child, addr }
 }
 
+/// Watches job `id` from event 0 to the end; returns the iteration
+/// index of every event, in arrival order, and the final state.
+fn watch_from_zero(c: &mut Client, id: u64) -> (Vec<usize>, String) {
+    c.send(&Json::obj(vec![
+        ("verb", Json::str("watch")),
+        ("id", Json::Int(i128::from(id))),
+        ("from", Json::Int(0)),
+    ]))
+    .unwrap();
+    let mut iterations = Vec::new();
+    loop {
+        let v = c.read_response().unwrap();
+        if let Some(ev) = v.get("event") {
+            iterations.push(ev.get("iteration").and_then(Json::as_usize).unwrap());
+        }
+        if v.get("done").and_then(Json::as_bool) == Some(true) {
+            let state = v.get("state").and_then(Json::as_str).unwrap().to_string();
+            return (iterations, state);
+        }
+    }
+}
+
 fn job_spec() -> JobSpec {
     JobSpec {
         workload: Workload::Profile {
@@ -135,21 +157,19 @@ fn sigkill_mid_gp_phase_resumes_place_job_bit_identically() {
     );
 
     // Daemon #2 over the same data dir: recover, resume from the GP
-    // snapshot, finish both phases.
+    // snapshot, finish both phases. Watching from 0 yields every event
+    // of the combined GP + CR&P range exactly once, in order: the
+    // recovered prefix from disk, then the resumed run.
     let d2 = start_daemon(&daemon_dir);
     let mut c = Client::connect(&d2.addr).unwrap();
-    c.send(&Json::obj(vec![
-        ("verb", Json::str("watch")),
-        ("id", Json::Int(i128::from(id))),
-    ]))
-    .unwrap();
-    loop {
-        let v = c.read_response().unwrap();
-        if v.get("done").and_then(Json::as_bool) == Some(true) {
-            assert_eq!(v.get("state").and_then(Json::as_str), Some("done"));
-            break;
-        }
-    }
+    let (iterations, state) = watch_from_zero(&mut c, id);
+    assert_eq!(state, "done");
+    let total = place_job_spec().total_iterations();
+    assert_eq!(iterations, (0..total).collect::<Vec<_>>());
+    // Once the job has finished, a fresh watch replays the same list.
+    let (again, state) = watch_from_zero(&mut c, id);
+    assert_eq!(state, "done");
+    assert_eq!(again, iterations);
     let v = c
         .call(&Json::obj(vec![
             ("verb", Json::str("fetch")),
@@ -228,21 +248,17 @@ fn sigkill_mid_job_resumes_bit_identically() {
     d1.child.kill().expect("SIGKILL crpd"); // SIGKILL on unix: no cleanup runs
     let _ = d1.child.wait();
 
-    // Daemon #2 over the same data dir: must recover and finish the job.
+    // Daemon #2 over the same data dir: must recover and finish the job,
+    // and a watch from 0 must see every iteration exactly once, in
+    // order — none skipped by the resume, none repeated by it.
     let d2 = start_daemon(&daemon_dir);
     let mut c = Client::connect(&d2.addr).unwrap();
-    c.send(&Json::obj(vec![
-        ("verb", Json::str("watch")),
-        ("id", Json::Int(i128::from(id))),
-    ]))
-    .unwrap();
-    loop {
-        let v = c.read_response().unwrap();
-        if v.get("done").and_then(Json::as_bool) == Some(true) {
-            assert_eq!(v.get("state").and_then(Json::as_str), Some("done"));
-            break;
-        }
-    }
+    let (iterations, state) = watch_from_zero(&mut c, id);
+    assert_eq!(state, "done");
+    assert_eq!(iterations, (0..job_spec().iterations).collect::<Vec<_>>());
+    let (again, state) = watch_from_zero(&mut c, id);
+    assert_eq!(state, "done");
+    assert_eq!(again, iterations);
     let v = c
         .call(&Json::obj(vec![
             ("verb", Json::str("fetch")),

@@ -7,6 +7,7 @@ use crp_serve::scheduler::SchedConfig;
 use crp_serve::spec::{JobSpec, Workload};
 use crp_serve::{Client, Scheduler, Server};
 use std::sync::atomic::AtomicBool;
+use std::time::{Duration, Instant};
 
 fn spec(seed: u64) -> JobSpec {
     let mut spec = JobSpec {
@@ -136,4 +137,33 @@ fn two_concurrent_tcp_jobs_match_serial_runs() {
         .call(&Json::obj(vec![("verb", Json::str("ping"))]))
         .unwrap();
     assert_eq!(v.get("pong").and_then(Json::as_bool), Some(true));
+}
+
+/// A request costs one round trip and no more. A request line that
+/// leaves in two writes has its newline held back by Nagle's algorithm
+/// until the daemon's delayed ACK (~40 ms) releases it, which would make
+/// these pings take four seconds.
+#[test]
+fn hundred_sequential_pings_take_under_a_second() {
+    let data_dir = std::env::temp_dir().join(format!("crp-loopback-ping-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let scheduler = Scheduler::new(SchedConfig {
+        data_dir: data_dir.clone(),
+        ..SchedConfig::default()
+    })
+    .unwrap();
+    let server = Server::start("127.0.0.1:0", scheduler).unwrap();
+    let mut c = Client::connect(&server.local_addr().to_string()).unwrap();
+    let ping = Json::obj(vec![("verb", Json::str("ping"))]);
+    let t = Instant::now();
+    for _ in 0..100 {
+        let v = c.call(&ping).unwrap();
+        assert_eq!(v.get("pong").and_then(Json::as_bool), Some(true));
+    }
+    let took = t.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "100 pings took {took:?}: requests are stalling"
+    );
+    let _ = std::fs::remove_dir_all(&data_dir);
 }

@@ -2,7 +2,8 @@
 //! parses, is internally consistent (queue depths sum over tenants,
 //! histogram counts equal request counts), and survives a
 //! checkpoint/restart of the daemon (a fresh scheduler over the same
-//! data directory reports the recovered jobs coherently).
+//! data directory reports the recovered jobs coherently, price-cache
+//! totals included).
 
 use crp_serve::json::Json;
 use crp_serve::scheduler::SchedConfig;
@@ -210,7 +211,18 @@ fn metrics_snapshot_is_consistent_and_survives_restart() {
     assert_consistent(&m2);
     let sched2 = m2.get("scheduler").unwrap();
     // The terminal jobs were recovered for status/fetch, not re-queued:
-    // still 2 done, nothing queued or running.
+    // still 2 done, nothing queued or running, nothing held in memory,
+    // and the price-cache totals read back from their event logs.
+    let cache2 = sched2.get("price_cache").unwrap();
+    assert_eq!(cache2.get("hits").and_then(Json::as_u64), Some(hits));
+    assert_eq!(cache2.get("misses").and_then(Json::as_u64), Some(misses));
+    assert_eq!(
+        sched2
+            .get("queue")
+            .and_then(|q| q.get("resident"))
+            .and_then(Json::as_usize),
+        Some(0)
+    );
     assert_eq!(
         sched2
             .get("states")

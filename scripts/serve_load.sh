@@ -12,6 +12,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${BENCH_SERVE_OUT:-BENCH_serve.json}"
+# cargo runs the test binary from crates/serve, so hand it an absolute
+# path; a relative one would land beside the crate, not here.
+case "$OUT" in
+  /*) ;;
+  *) OUT="$PWD/$OUT" ;;
+esac
 
 if [ -n "${SWARM_CLIENTS:-}" ] && [ "${SWARM_CLIENTS}" -lt 200 ]; then
   # Scaled-down swarms go through swarm_small so the >=200-client floor
