@@ -56,14 +56,21 @@ impl Candidate {
     /// The new footprints this candidate claims, for overlap checks.
     #[must_use]
     pub fn claimed_rects(&self, design: &Design) -> Vec<(CellId, Rect)> {
-        let mut out = Vec::with_capacity(1 + self.moves.len());
-        let m = design.macro_of(self.cell);
-        out.push((self.cell, Rect::with_size(self.pos, m.width, m.height)));
-        for &(c, p, _) in &self.moves {
-            let mc = design.macro_of(c);
-            out.push((c, Rect::with_size(p, mc.width, mc.height)));
-        }
-        out
+        self.claims(design).collect()
+    }
+
+    /// [`claimed_rects`](Candidate::claimed_rects) without the allocation:
+    /// the critical cell's footprint first, then each relocation's.
+    pub(crate) fn claims<'a>(
+        &'a self,
+        design: &'a Design,
+    ) -> impl Iterator<Item = (CellId, Rect)> + 'a {
+        std::iter::once((self.cell, self.pos))
+            .chain(self.moves.iter().map(|&(c, p, _)| (c, p)))
+            .map(move |(c, p)| {
+                let m = design.macro_of(c);
+                (c, Rect::with_size(p, m.width, m.height))
+            })
     }
 
     /// The position this candidate assigns to `cell`, if it moves it.

@@ -5,26 +5,23 @@ use crate::config::CrpConfig;
 use crate::parallel::run_indexed;
 use crate::price_cache::{PriceCache, PriceRegion};
 use crp_check::CheckViolation;
-use crp_geom::sum_ordered;
 use crp_grid::{Edge, RouteGrid};
 use crp_netlist::{Design, NetId};
 use crp_router::{pattern_route_tree_discounted, NetRoute, PinNode, Routing};
-use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Reusable per-worker buffers for candidate pricing.
 ///
-/// Pricing one candidate allocates a handful of short-lived collections
-/// (net list, pin nodes, the self-usage discount map and its two helper
-/// maps). On the hot path — thousands of candidates per iteration — those
-/// allocations dominate the cheap nets. Each pricing worker owns one
-/// scratch and reuses its buffers across every candidate it claims.
+/// Pricing one candidate needs a handful of short-lived collections (net
+/// list, pin nodes, each net's self-usage discount). On the hot path —
+/// thousands of candidates per iteration — those allocations dominate
+/// the cheap nets. Each pricing worker owns one scratch and reuses its
+/// buffers across every candidate it claims.
 #[derive(Debug, Default)]
 pub struct PriceScratch {
     nets: Vec<NetId>,
     pins: Vec<PinNode>,
-    discount: BTreeMap<Edge, f64>,
-    own: BTreeMap<(u16, u16, u16), f64>,
-    affected: BTreeSet<Edge>,
+    discounts: Discounts,
 }
 
 impl PriceScratch {
@@ -32,6 +29,141 @@ impl PriceScratch {
     #[must_use]
     pub fn new() -> PriceScratch {
         PriceScratch::default()
+    }
+}
+
+/// The self-usage discounts of the nets priced within one call that
+/// holds the grid and routing borrowed, so none outlives a change to
+/// either. A net's discount depends only on the grid and its own current
+/// route, so every candidate of a list that reprices the net can share
+/// it.
+#[derive(Debug, Default)]
+struct Discounts {
+    /// Every net discounted so far, with the range of its entries.
+    nets: Vec<(NetId, Range<usize>)>,
+    /// Each net's `(edge, demand delta)` pairs, sorted by edge with one
+    /// entry per edge, back to back.
+    entries: Vec<(Edge, f64)>,
+    /// The net's route edges, one per occurrence.
+    wires: Vec<Edge>,
+    /// The net's via endpoints `(x, y, layer)`, one per occurrence.
+    ends: Vec<(u16, u16, u16)>,
+    /// Via endpoints the net contributes per `(x, y, layer)`.
+    own: Vec<((u16, u16, u16), f64)>,
+    /// Planar edges next to a gcell with one of the net's vias.
+    affected: Vec<Edge>,
+}
+
+impl Discounts {
+    fn clear(&mut self) {
+        self.nets.clear();
+        self.entries.clear();
+    }
+
+    /// `net`'s discount, computed on its first request since the last
+    /// [`clear`](Discounts::clear).
+    fn of(&mut self, grid: &RouteGrid, routing: &Routing, net: NetId) -> &[(Edge, f64)] {
+        let range = match self.nets.iter().find(|(n, _)| *n == net) {
+            Some((_, r)) => r.clone(),
+            None => {
+                let start = self.entries.len();
+                self.push_discount(grid, routing.route(net));
+                self.nets.push((net, start..self.entries.len()));
+                start..self.entries.len()
+            }
+        };
+        &self.entries[range]
+    }
+
+    /// Appends the demand deltas that remove `route` from the grid
+    /// demand: −1 on every wire and via edge it occupies (once per
+    /// occurrence), plus the (nonlinear) via-estimate correction `β·δ_e`
+    /// on planar edges whose endpoint gcells host the route's vias. Each
+    /// entry is summed as a map entry would be (`0.0`, then −1 per
+    /// occurrence, then the correction), since prices must not depend on
+    /// how the discount is stored.
+    fn push_discount(&mut self, grid: &RouteGrid, route: &NetRoute) {
+        let Discounts {
+            entries,
+            wires,
+            ends,
+            own,
+            affected,
+            ..
+        } = self;
+        let start = entries.len();
+
+        wires.clear();
+        wires.extend(route.edges());
+        wires.sort_unstable();
+        tally(wires, -1.0, entries);
+        let wired = entries.len();
+
+        ends.clear();
+        for v in &route.vias {
+            for l in v.lo..v.hi {
+                ends.push((v.x, v.y, l));
+                ends.push((v.x, v.y, l + 1));
+            }
+        }
+        if ends.is_empty() {
+            return;
+        }
+        ends.sort_unstable();
+        own.clear();
+        tally(ends, 1.0, own);
+        let own_at = |k: (u16, u16, u16)| match own.binary_search_by_key(&k, |&(o, _)| o) {
+            Ok(i) => own[i].1,
+            Err(_) => 0.0,
+        };
+
+        let beta = grid.config().beta;
+        affected.clear();
+        for &((x, y, l), _) in own.iter() {
+            if !grid.is_routable(l) {
+                continue;
+            }
+            affected.push(Edge::planar(l, x, y));
+            match grid.axis(l) {
+                crp_geom::Axis::X if x > 0 => affected.push(Edge::planar(l, x - 1, y)),
+                crp_geom::Axis::Y if y > 0 => affected.push(Edge::planar(l, x, y - 1)),
+                _ => {}
+            }
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        for &e in affected.iter() {
+            if !grid.edge_exists(e) {
+                continue;
+            }
+            let (a, b) = e.endpoints(|l| grid.axis(l));
+            let va = grid.via_count(a.layer, a.x, a.y);
+            let vb = grid.via_count(b.layer, b.x, b.y);
+            let va2 = (va - own_at((a.x, a.y, a.layer))).max(0.0);
+            let vb2 = (vb - own_at((b.x, b.y, b.layer))).max(0.0);
+            let delta = beta * (((va2 + vb2) / 2.0).sqrt() - ((va + vb) / 2.0).sqrt());
+            if delta == 0.0 {
+                continue;
+            }
+            match entries[start..wired].binary_search_by_key(&e, |&(w, _)| w) {
+                Ok(i) => entries[start + i].1 += delta,
+                Err(_) => entries.push((e, delta)),
+            }
+        }
+        entries[start..].sort_unstable_by_key(|&(e, _)| e);
+    }
+}
+
+/// Appends `(key, 0.0 + step + step + …)` with one `step` per occurrence
+/// for every run of equal keys in `sorted`: the sum a map entry reaches
+/// when each occurrence adds `step` to it.
+fn tally<K: Copy + Eq>(sorted: &[K], step: f64, out: &mut Vec<(K, f64)>) {
+    for run in sorted.chunk_by(|a, b| a == b) {
+        let mut sum = 0.0;
+        for _ in run {
+            sum += step;
+        }
+        out.push((run[0], sum));
     }
 }
 
@@ -72,8 +204,61 @@ pub fn price_cell_nets(
 /// [`price_cell_nets`] with caller-provided scratch buffers and an
 /// optional epoch-invalidated price cache. The cache is a pure memo:
 /// results are bit-identical with or without it (see [`PriceCache`]).
+/// Every call computes its discounts afresh, so one scratch may serve
+/// across changes to the grid and routing.
 #[must_use]
 pub fn price_cell_nets_with(
+    design: &Design,
+    grid: &RouteGrid,
+    routing: &Routing,
+    candidate: &Candidate,
+    congestion_aware: bool,
+    cache: Option<&PriceCache>,
+    scratch: &mut PriceScratch,
+) -> f64 {
+    scratch.discounts.clear();
+    price_candidate(
+        design,
+        grid,
+        routing,
+        candidate,
+        congestion_aware,
+        cache,
+        scratch,
+    )
+}
+
+/// Prices every candidate of one list (see [`price_cell_nets`]),
+/// computing each net's self-usage discount once for the whole list
+/// rather than once per candidate. The next call drops the discounts.
+pub(crate) fn price_list(
+    design: &Design,
+    grid: &RouteGrid,
+    routing: &Routing,
+    candidates: &[Candidate],
+    congestion_aware: bool,
+    cache: Option<&PriceCache>,
+    scratch: &mut PriceScratch,
+) -> Vec<f64> {
+    scratch.discounts.clear();
+    candidates
+        .iter()
+        .map(|cand| {
+            price_candidate(
+                design,
+                grid,
+                routing,
+                cand,
+                congestion_aware,
+                cache,
+                scratch,
+            )
+        })
+        .collect()
+}
+
+/// Prices one candidate against the discounts already in `scratch`.
+fn price_candidate(
     design: &Design,
     grid: &RouteGrid,
     routing: &Routing,
@@ -153,21 +338,13 @@ fn price_one_net(
         }
     }
 
-    self_usage_discount_into(grid, routing, net, scratch);
+    let discount = scratch.discounts.of(grid, routing, net);
     let current = routing.route(net);
 
     let (price, routed) = if stay {
         let p = if congestion_aware {
             // Term order is the route's own edge order: fixed.
-            sum_ordered(
-                current
-                    .edges()
-                    .iter()
-                    .map(|&e| match scratch.discount.get(&e) {
-                        Some(&delta) => grid.cost_adjusted(e, delta),
-                        None => grid.cost(e),
-                    }),
-            )
+            current.cost_discounted(grid, discount)
         } else {
             // Length-only pricing ([18]'s model: route length and
             // detours; no via or congestion term).
@@ -175,17 +352,9 @@ fn price_one_net(
         };
         (p, None)
     } else {
-        let route = pattern_route_tree_discounted(grid, &scratch.pins, &scratch.discount);
+        let route = pattern_route_tree_discounted(grid, &scratch.pins, discount);
         let p = if congestion_aware {
-            sum_ordered(
-                route
-                    .edges()
-                    .iter()
-                    .map(|&e| match scratch.discount.get(&e) {
-                        Some(&delta) => grid.cost_adjusted(e, delta),
-                        None => grid.cost(e),
-                    }),
-            )
+            route.cost_discounted(grid, discount)
         } else {
             route.wirelength() as f64
         };
@@ -217,76 +386,6 @@ fn cover_route(region: &mut PriceRegion, route: &NetRoute) {
     }
     for v in &route.vias {
         region.cover(v.x, v.y);
-    }
-}
-
-/// Builds the demand-delta map that removes `net`'s own current route
-/// from the grid demand into the scratch's `discount` map, reusing its
-/// buffers (all three maps are cleared first): −1 on every wire and via
-/// edge it occupies, plus the (nonlinear) via-estimate correction
-/// `β·δ_e` on planar edges whose endpoint gcells host the net's vias.
-fn self_usage_discount_into(
-    grid: &RouteGrid,
-    routing: &Routing,
-    net: NetId,
-    scratch: &mut PriceScratch,
-) {
-    let discount = &mut scratch.discount;
-    let own = &mut scratch.own;
-    let affected = &mut scratch.affected;
-    discount.clear();
-    own.clear();
-    affected.clear();
-
-    let route = routing.route(net);
-    for e in route.edges() {
-        *discount.entry(e).or_insert(0.0) -= 1.0;
-    }
-
-    // Via endpoints this net contributes per (x, y, layer).
-    for v in &route.vias {
-        for l in v.lo..v.hi {
-            *own.entry((v.x, v.y, l)).or_insert(0.0) += 1.0;
-            *own.entry((v.x, v.y, l + 1)).or_insert(0.0) += 1.0;
-        }
-    }
-    if own.is_empty() {
-        return;
-    }
-    let beta = grid.config().beta;
-    // Planar edges incident to any gcell with own vias on that layer.
-    for &(x, y, l) in own.keys() {
-        if !grid.is_routable(l) {
-            continue;
-        }
-        match grid.axis(l) {
-            crp_geom::Axis::X => {
-                affected.insert(Edge::planar(l, x, y));
-                if x > 0 {
-                    affected.insert(Edge::planar(l, x - 1, y));
-                }
-            }
-            crp_geom::Axis::Y => {
-                affected.insert(Edge::planar(l, x, y));
-                if y > 0 {
-                    affected.insert(Edge::planar(l, x, y - 1));
-                }
-            }
-        }
-    }
-    for &e in affected.iter() {
-        if !grid.edge_exists(e) {
-            continue;
-        }
-        let (a, b) = e.endpoints(|l| grid.axis(l));
-        let va = grid.via_count(a.layer, a.x, a.y);
-        let vb = grid.via_count(b.layer, b.x, b.y);
-        let va2 = (va - own.get(&(a.x, a.y, a.layer)).copied().unwrap_or(0.0)).max(0.0);
-        let vb2 = (vb - own.get(&(b.x, b.y, b.layer)).copied().unwrap_or(0.0)).max(0.0);
-        let delta = beta * (((va2 + vb2) / 2.0).sqrt() - ((va + vb) / 2.0).sqrt());
-        if delta != 0.0 {
-            *discount.entry(e).or_insert(0.0) += delta;
-        }
     }
 }
 
@@ -322,22 +421,24 @@ pub fn estimate_candidates_cached(
     let lists: &[Vec<Candidate>] = per_cell;
     let costs: Vec<Vec<f64>> =
         run_indexed(lists.len(), threads, PriceScratch::new, |scratch, i| {
-            lists[i]
-                .iter()
-                .map(|cand| {
-                    let mut cost = price_cell_nets_with(
-                        design,
-                        grid,
-                        routing,
-                        cand,
-                        config.congestion_aware,
-                        cache,
-                        scratch,
-                    );
-                    if !cand.is_stay(design) {
-                        cost += config.move_margin;
+            let prices = price_list(
+                design,
+                grid,
+                routing,
+                &lists[i],
+                config.congestion_aware,
+                cache,
+                scratch,
+            );
+            prices
+                .into_iter()
+                .zip(&lists[i])
+                .map(|(cost, cand)| {
+                    if cand.is_stay(design) {
+                        cost
+                    } else {
+                        cost + config.move_margin
                     }
-                    cost
                 })
                 .collect()
         });
@@ -617,6 +718,46 @@ mod tests {
     }
 
     #[test]
+    fn list_pricing_matches_pricing_each_candidate_alone() {
+        // Every candidate reprices the one shared net, so all but the
+        // first reuse its discount.
+        let (d, grid, routing, cells) = flow();
+        let stay = Candidate::stay(&d, cells[0]);
+        let mut near = stay.clone();
+        near.pos = Point::new(10_000, 8_000);
+        let mut joint = stay.clone();
+        joint
+            .moves
+            .push((cells[1], Point::new(0, 2_000), crp_geom::Orientation::FS));
+        let list = [stay, near, joint];
+        let mut scratch = PriceScratch::new();
+        for aware in [true, false] {
+            let prices = price_list(&d, &grid, &routing, &list, aware, None, &mut scratch);
+            let alone: Vec<f64> = list
+                .iter()
+                .map(|c| price_cell_nets(&d, &grid, &routing, c, aware))
+                .collect();
+            assert_eq!(prices, alone);
+        }
+    }
+
+    #[test]
+    fn discount_is_edge_sorted_and_covers_the_route() {
+        let (_, grid, routing, _) = flow();
+        let route = routing.route(NetId(0));
+        let mut discounts = Discounts::default();
+        let discount = discounts.of(&grid, &routing, NetId(0));
+        assert!(discount.windows(2).all(|w| w[0].0 < w[1].0));
+        for e in route.edges() {
+            let i = discount.binary_search_by_key(&e, |&(d, _)| d);
+            assert!(
+                i.is_ok_and(|i| discount[i].1 <= -1.0),
+                "{e:?} not discounted"
+            );
+        }
+    }
+
+    #[test]
     fn move_margin_penalizes_non_stay() {
         let (d, grid, routing, cells) = flow();
         let cfg = CrpConfig {
@@ -659,6 +800,8 @@ mod tests {
             // reroutes (which mutate the grid and the routing), pricing
             // through a cache that saw every intermediate state still
             // equals a fresh `price_cell_nets` computation, bit for bit.
+            // So does pricing through one scratch reused across every
+            // step: no self-usage discount outlives a grid change.
             #[test]
             fn cache_is_never_stale_under_moves_and_reroutes(
                 steps in proptest::collection::vec((0u16..2, 0u16..25, 0u16..8), 1..6)
@@ -667,6 +810,7 @@ mod tests {
                 let mut router = GlobalRouter::new(RouterConfig::default());
                 let cache = PriceCache::new();
                 let cfg = CrpConfig::default();
+                let mut scratch = PriceScratch::new();
 
                 for &(who, sx, sy) in &steps {
                     // Warm the cache against the current state.
@@ -683,15 +827,23 @@ mod tests {
                         router.reroute_net(&d, &mut grid, &mut routing, n);
                     }
 
-                    // Cached pricing after mutation must equal fresh pricing.
-                    for &c in &cells {
-                        let cand = Candidate::stay(&d, c);
-                        let fresh = price_cell_nets(&d, &grid, &routing, &cand, true);
-                        let mut scratch = PriceScratch::new();
-                        let cached = price_cell_nets_with(
-                            &d, &grid, &routing, &cand, true, Some(&cache), &mut scratch,
-                        );
-                        prop_assert_eq!(fresh, cached, "stale cache after move/reroute");
+                    // Cached pricing after mutation must equal fresh pricing,
+                    // for staying and for moving toward the other cell.
+                    for (&c, &other) in cells.iter().zip(cells.iter().rev()) {
+                        let stay = Candidate::stay(&d, c);
+                        let mut toward = stay.clone();
+                        toward.pos = d.cell(other).pos;
+                        for cand in [stay, toward] {
+                            let fresh = price_cell_nets(&d, &grid, &routing, &cand, true);
+                            let cached = price_cell_nets_with(
+                                &d, &grid, &routing, &cand, true, Some(&cache), &mut scratch,
+                            );
+                            prop_assert_eq!(fresh, cached, "stale cache after move/reroute");
+                            let reused = price_cell_nets_with(
+                                &d, &grid, &routing, &cand, true, None, &mut scratch,
+                            );
+                            prop_assert_eq!(fresh, reused, "stale discount after move/reroute");
+                        }
                     }
                 }
             }

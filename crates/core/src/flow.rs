@@ -8,7 +8,7 @@ use crate::legalizer::Legalizer;
 use crate::parallel::run_indexed;
 use crate::price_cache::PriceCache;
 use crate::replay_rng::ReplayRng;
-use crate::select::select_candidates;
+use crate::select::{select_with, SelectScratch};
 use crate::timers::StageTimers;
 use crp_check::{CheckViolation, PlacementSnapshot};
 use crp_grid::RouteGrid;
@@ -76,6 +76,9 @@ pub struct Crp {
     /// later iterations re-price only the nets the flow actually touched.
     // crp-lint: allow(state-coverage, pure memo; restore starts it cold and results stay bit-identical)
     cache: PriceCache,
+    /// Select's conflict-search buffers, reused across iterations.
+    // crp-lint: allow(state-coverage, scratch buffers; no value survives a select call)
+    select: SelectScratch,
     /// Accumulated stage timings (Figure 3 data source).
     pub timers: StageTimers,
 }
@@ -90,6 +93,7 @@ impl Crp {
             moved_set: HashSet::new(),
             rng: ReplayRng::new(config.seed),
             cache: PriceCache::new(),
+            select: SelectScratch::default(),
             timers: StageTimers::default(),
         }
     }
@@ -131,6 +135,7 @@ impl Crp {
             moved_set: state.moved_set.iter().copied().collect(),
             rng: ReplayRng::replayed(state.rng_seed, state.rng_draws),
             cache: PriceCache::new(),
+            select: SelectScratch::default(),
             timers: state.timers,
         }
     }
@@ -260,7 +265,7 @@ impl Crp {
 
         // Step 4: select with the Eq. 12 ILP.
         let t = Instant::now();
-        let chosen = select_candidates(design, &per_cell, &self.config);
+        let chosen = select_with(design, &per_cell, &self.config, &mut self.select);
         self.timers.select += t.elapsed();
 
         // Step 5: update database — apply moves and reroute.

@@ -8,17 +8,25 @@ use crp_router::Routing;
 use rand::Rng;
 use std::collections::HashSet;
 
-/// The routed cost of a cell: the summed Eq. 10 cost of the current routes
-/// of all its nets. This is the sort key of Algorithm 1, line 3.
-#[must_use]
-pub fn cell_routed_cost(design: &Design, grid: &RouteGrid, routing: &Routing, cell: CellId) -> f64 {
-    // `nets_of_cell` returns nets in id order: a fixed term sequence.
+/// The routed cost of a cell, the sort key of Algorithm 1, line 3: the
+/// summed Eq. 10 cost of the current routes of all its nets, given each
+/// net's cost in `net_costs` (indexed by net id).
+fn cell_routed_cost(design: &Design, net_costs: &[f64], cell: CellId) -> f64 {
+    // `nets_of_cell` returns nets in pin order: a fixed term sequence.
     sum_ordered(
         design
             .nets_of_cell(cell)
             .into_iter()
-            .map(|n| routing.route(n).cost(grid)),
+            .map(|n| net_costs[n.index()]),
     )
+}
+
+/// The Eq. 10 cost of every net's current route, indexed by net id.
+fn net_costs(design: &Design, grid: &RouteGrid, routing: &Routing) -> Vec<f64> {
+    design
+        .net_ids()
+        .map(|n| routing.route(n).cost(grid))
+        .collect()
 }
 
 /// Algorithm 1: selects the critical-cell set for one CR&P iteration.
@@ -47,9 +55,11 @@ pub fn label_critical_cells<R: Rng + ?Sized>(
         .filter(|&c| !design.cell(c).fixed)
         .collect();
     if config.prioritize {
+        // Price each net once; every cell on it reuses the price.
+        let net_costs = net_costs(design, grid, routing);
         let mut keyed: Vec<(f64, CellId)> = cells
             .iter()
-            .map(|&c| (cell_routed_cost(design, grid, routing, c), c))
+            .map(|&c| (cell_routed_cost(design, &net_costs, c), c))
             .collect();
         keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         cells = keyed.into_iter().map(|(_, c)| c).collect();
@@ -256,7 +266,8 @@ mod tests {
             &HashSet::new(),
             &mut StdRng::seed_from_u64(0),
         );
-        let cost = |c: CellId| cell_routed_cost(&d, &grid, &routing, c);
+        let costs = net_costs(&d, &grid, &routing);
+        let cost = |c: CellId| cell_routed_cost(&d, &costs, c);
         // The first selected cell must be at least as expensive as the last.
         assert!(cost(sel[0]) >= cost(*sel.last().unwrap()));
     }

@@ -20,7 +20,7 @@
 
 use crate::candidate::Candidate;
 use crate::config::CrpConfig;
-use crate::estimate::{price_cell_nets_with, PriceScratch};
+use crate::estimate::{price_list, PriceScratch};
 use crate::parallel::run_indexed;
 use crp_geom::{Dbu, Interval, Point};
 use crp_grid::RouteGrid;
@@ -131,17 +131,10 @@ impl MedianMover {
                 let cell = cells[i];
                 let mut cands = vec![Candidate::stay(design, cell)];
                 cands.extend(self.median_candidates(design, &occupancy, cell));
-                for cand in &mut cands {
-                    // Congestion-blind pricing: pure length + via weights.
-                    cand.routing_cost = price_cell_nets_with(
-                        design,
-                        grid,
-                        routing_view,
-                        cand,
-                        false,
-                        None,
-                        scratch,
-                    );
+                // Congestion-blind pricing: pure length + via weights.
+                let prices = price_list(design, grid, routing_view, &cands, false, None, scratch);
+                for (cand, price) in cands.iter_mut().zip(prices) {
+                    cand.routing_cost = price;
                 }
                 cands
             });

@@ -39,8 +39,9 @@ pub(crate) struct CostCtx<'a> {
     pub grid: &'a RouteGrid,
     pub history: Option<&'a BTreeMap<Edge, f64>>,
     pub hist_weight: f64,
-    /// Per-edge demand adjustment (CR&P self-usage discount), optional.
-    pub discount: Option<&'a BTreeMap<Edge, f64>>,
+    /// Per-edge demand adjustment (CR&P self-usage discount), optional:
+    /// sorted by edge, one entry per edge.
+    pub discount: Option<&'a [(Edge, f64)]>,
     /// Tiny per-layer bias so equal-cost ties prefer lower layers.
     pub layer_bias: f64,
 }
@@ -70,10 +71,7 @@ impl<'a> CostCtx<'a> {
         }
     }
 
-    pub(crate) fn with_discount(
-        grid: &'a RouteGrid,
-        discount: &'a BTreeMap<Edge, f64>,
-    ) -> CostCtx<'a> {
+    pub(crate) fn with_discount(grid: &'a RouteGrid, discount: &'a [(Edge, f64)]) -> CostCtx<'a> {
         CostCtx {
             grid,
             history: None,
@@ -84,8 +82,8 @@ impl<'a> CostCtx<'a> {
     }
 
     pub(crate) fn edge_cost(&self, e: Edge) -> f64 {
-        let mut c = match self.discount.and_then(|d| d.get(&e)) {
-            Some(&delta) => self.grid.cost_adjusted(e, delta),
+        let mut c = match self.discount {
+            Some(d) => discounted_cost(self.grid, d, e),
             None => self.grid.cost(e),
         };
         if let Some(h) = self.history {
@@ -327,23 +325,25 @@ pub fn price_net(grid: &RouteGrid, pins: &[PinNode]) -> f64 {
     route.cost(grid)
 }
 
+/// The Eq. 10 cost of `e` with its demand shifted by its entry in
+/// `discount` (sorted by edge, one entry per edge), or its plain cost when
+/// it has none.
+pub(crate) fn discounted_cost(grid: &RouteGrid, discount: &[(Edge, f64)], e: Edge) -> f64 {
+    match discount.binary_search_by_key(&e, |&(d, _)| d) {
+        Ok(i) => grid.cost_adjusted(e, discount[i].1),
+        Err(_) => grid.cost(e),
+    }
+}
+
 /// Like [`price_net`], but with a per-edge demand discount: `discount`
-/// maps grid edges to demand deltas applied during both the routing search
-/// and the final pricing. CR&P passes the negated self-usage of the net's
-/// current route so the stay candidate is priced as if the net were
-/// ripped up — the comparison against move candidates is then unbiased.
+/// holds `(edge, demand delta)` pairs, sorted by edge with one entry per
+/// edge, applied during both the routing search and the final pricing.
+/// CR&P passes the negated self-usage of the net's current route so the
+/// stay candidate is priced as if the net were ripped up — the comparison
+/// against move candidates is then unbiased.
 #[must_use]
-pub fn price_net_discounted(
-    grid: &RouteGrid,
-    pins: &[PinNode],
-    discount: &BTreeMap<Edge, f64>,
-) -> f64 {
-    let ctx = CostCtx::with_discount(grid, discount);
-    let route = route_with_ctx(&ctx, pins);
-    sum_ordered(route.edges().iter().map(|&e| match discount.get(&e) {
-        Some(&delta) => grid.cost_adjusted(e, delta),
-        None => grid.cost(e),
-    }))
+pub fn price_net_discounted(grid: &RouteGrid, pins: &[PinNode], discount: &[(Edge, f64)]) -> f64 {
+    pattern_route_tree_discounted(grid, pins, discount).cost_discounted(grid, discount)
 }
 
 /// Routes with the same demand discount as [`price_net_discounted`] and
@@ -352,7 +352,7 @@ pub fn price_net_discounted(
 pub fn pattern_route_tree_discounted(
     grid: &RouteGrid,
     pins: &[PinNode],
-    discount: &BTreeMap<Edge, f64>,
+    discount: &[(Edge, f64)],
 ) -> NetRoute {
     let ctx = CostCtx::with_discount(grid, discount);
     route_with_ctx(&ctx, pins)

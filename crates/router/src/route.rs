@@ -162,6 +162,19 @@ impl NetRoute {
         sum_ordered(self.edges().iter().map(|&e| grid.cost(e)))
     }
 
+    /// [`cost`](NetRoute::cost) with each edge's demand shifted by its
+    /// entry in `discount`: `(edge, demand delta)` pairs sorted by edge,
+    /// one entry per edge (see
+    /// [`price_net_discounted`](crate::price_net_discounted)).
+    #[must_use]
+    pub fn cost_discounted(&self, grid: &RouteGrid, discount: &[(Edge, f64)]) -> f64 {
+        sum_ordered(
+            self.edges()
+                .iter()
+                .map(|&e| crate::pattern::discounted_cost(grid, discount, e)),
+        )
+    }
+
     /// Commits the route's usage to the grid.
     pub fn commit(&self, grid: &mut RouteGrid) {
         for seg in &self.segs {
