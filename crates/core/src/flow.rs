@@ -19,7 +19,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 /// Per-iteration statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct IterationReport {
     /// 0-based iteration number.
     pub iteration: usize,
@@ -248,8 +248,9 @@ impl Crp {
         let cache = self.config.price_cache.then_some(&self.cache);
         estimate_candidates_cached(design, grid, routing, &mut per_cell, &self.config, cache);
         self.timers.ecc += t.elapsed();
-        self.timers.ecc_cache_hits += self.cache.hits() - hits0;
-        self.timers.ecc_cache_misses += self.cache.misses() - misses0;
+        let (hits, misses) = (self.cache.hits() - hits0, self.cache.misses() - misses0);
+        self.timers.ecc_cache_hits = self.timers.ecc_cache_hits.saturating_add(hits);
+        self.timers.ecc_cache_misses = self.timers.ecc_cache_misses.saturating_add(misses);
         if level.enabled() {
             // Cheap audits a fixed candidate budget; Full re-prices every
             // candidate without the cache and demands bitwise agreement.

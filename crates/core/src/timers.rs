@@ -38,24 +38,30 @@ impl StageTimers {
         self.label + self.select
     }
 
-    /// Adds another timer set stage-wise.
+    /// Adds another timer set stage-wise. The cache counters saturate:
+    /// restored timers may hold any `u64`.
     pub fn accumulate(&mut self, other: &StageTimers) {
         self.label += other.label;
         self.gcp += other.gcp;
         self.ecc += other.ecc;
         self.select += other.select;
         self.update += other.update;
-        self.ecc_cache_hits += other.ecc_cache_hits;
-        self.ecc_cache_misses += other.ecc_cache_misses;
+        self.ecc_cache_hits = self.ecc_cache_hits.saturating_add(other.ecc_cache_hits);
+        self.ecc_cache_misses = self.ecc_cache_misses.saturating_add(other.ecc_cache_misses);
     }
 
     /// Price-cache hit rate over the ECC stage, in `[0, 1]`; `None` when
     /// no cached lookups were made (cache disabled or nothing estimated).
     #[must_use]
     pub fn ecc_cache_hit_rate(&self) -> Option<f64> {
-        let total = self.ecc_cache_hits + self.ecc_cache_misses;
+        let total = self.ecc_cache_lookups();
         #[allow(clippy::cast_precision_loss)]
         (total > 0).then(|| self.ecc_cache_hits as f64 / total as f64)
+    }
+
+    /// Hits plus misses, summed wide enough never to overflow.
+    fn ecc_cache_lookups(&self) -> u128 {
+        u128::from(self.ecc_cache_hits) + u128::from(self.ecc_cache_misses)
     }
 
     /// One-line human-readable per-phase summary, with the cache hit rate
@@ -70,41 +76,11 @@ impl StageTimers {
             s.push_str(&format!(
                 " | ecc cache {}/{} hits ({:.1}%)",
                 self.ecc_cache_hits,
-                self.ecc_cache_hits + self.ecc_cache_misses,
+                self.ecc_cache_lookups(),
                 rate * 100.0
             ));
         }
         s
-    }
-
-    /// Machine-readable export: one flat JSON object with every stage in
-    /// integer nanoseconds plus the price-cache hit/miss counters —
-    /// exactly the payload the `crpd` `status`/`watch` endpoints embed.
-    /// Hand-rolled (the workspace vendors a stub `serde`); all values are
-    /// integers except `ecc_cache_hit_rate`, which is `null` when no
-    /// cached lookup was made.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let rate = self
-            .ecc_cache_hit_rate()
-            .map_or_else(|| "null".to_string(), |r| format!("{r}"));
-        format!(
-            concat!(
-                "{{\"label_ns\":{},\"gcp_ns\":{},\"ecc_ns\":{},",
-                "\"select_ns\":{},\"update_ns\":{},\"total_ns\":{},",
-                "\"ecc_cache_hits\":{},\"ecc_cache_misses\":{},",
-                "\"ecc_cache_hit_rate\":{}}}"
-            ),
-            self.label.as_nanos(),
-            self.gcp.as_nanos(),
-            self.ecc.as_nanos(),
-            self.select.as_nanos(),
-            self.update.as_nanos(),
-            self.total().as_nanos(),
-            self.ecc_cache_hits,
-            self.ecc_cache_misses,
-            rate,
-        )
     }
 
     /// Percentage breakdown `(gcp, ecc, ud, misc)` of the total, for the
@@ -168,28 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn json_export_is_flat_and_integer_valued() {
-        let t = StageTimers {
-            label: Duration::from_nanos(10),
-            gcp: Duration::from_nanos(20),
-            ecc: Duration::from_nanos(30),
-            select: Duration::from_nanos(5),
-            update: Duration::from_nanos(35),
-            ecc_cache_hits: 3,
-            ecc_cache_misses: 1,
-        };
-        let json = t.to_json();
-        assert!(json.contains("\"gcp_ns\":20"), "{json}");
-        assert!(json.contains("\"total_ns\":100"), "{json}");
-        assert!(json.contains("\"ecc_cache_hits\":3"), "{json}");
-        assert!(json.contains("\"ecc_cache_hit_rate\":0.75"), "{json}");
-        assert!(json.starts_with('{') && json.ends_with('}'));
-
-        let empty = StageTimers::default().to_json();
-        assert!(empty.contains("\"ecc_cache_hit_rate\":null"), "{empty}");
-    }
-
-    #[test]
     fn cache_hit_rate_and_summary() {
         let mut t = StageTimers::default();
         assert_eq!(t.ecc_cache_hit_rate(), None);
@@ -198,5 +152,24 @@ mod tests {
         t.ecc_cache_misses = 1;
         assert_eq!(t.ecc_cache_hit_rate(), Some(0.75));
         assert!(t.summary().contains("3/4 hits (75.0%)"), "{}", t.summary());
+    }
+
+    #[test]
+    fn counters_saturate_and_the_rate_stays_in_range() {
+        let max = StageTimers {
+            ecc_cache_hits: u64::MAX,
+            ecc_cache_misses: u64::MAX,
+            ..StageTimers::default()
+        };
+        let mut t = max;
+        t.accumulate(&max);
+        assert_eq!((t.ecc_cache_hits, t.ecc_cache_misses), (u64::MAX, u64::MAX));
+        assert_eq!(t.ecc_cache_hit_rate(), Some(0.5));
+        let lookups = 2 * u128::from(u64::MAX);
+        assert!(t
+            .summary()
+            .contains(&format!("{}/{lookups} hits", u64::MAX)));
+        t.ecc_cache_misses = 0;
+        assert_eq!(t.ecc_cache_hit_rate(), Some(1.0));
     }
 }

@@ -24,6 +24,7 @@ use crp_lint::models::{CachePhaseModel, StealPriceModel, WorkStealModel};
 use crp_lint::models_serve::{ChangeSignalModel, ConnPoolModel, FairshareModel, LockOrderModel};
 use crp_lint::race::{explore, Model};
 use crp_lint::{Diagnostic, Rule};
+use crp_serve::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -173,46 +174,21 @@ fn parse_rule_list(list: &str) -> Result<Vec<Rule>, String> {
 
 /// Renders the findings as a JSON array with a stable field order:
 /// `rule`, `file`, `line`, `reason` — already sorted by file then line
-/// by `lint_workspace`. Hand-rolled (the vendor tree is offline) with
-/// full string escaping, so any finding text round-trips.
-fn findings_json(diagnostics: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\"rule\": ");
-        json_string(d.rule.name(), &mut out);
-        out.push_str(", \"file\": ");
-        json_string(&d.file, &mut out);
-        out.push_str(&format!(", \"line\": {}", d.line));
-        out.push_str(", \"reason\": ");
-        json_string(&d.message, &mut out);
-        out.push('}');
-    }
-    if !diagnostics.is_empty() {
-        out.push('\n');
-    }
-    out.push(']');
-    out
-}
-
-/// Appends `s` as a JSON string literal (quotes, escapes, control
-/// characters as `\u00XX`).
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// by `lint_workspace`.
+fn findings_json(diagnostics: &[Diagnostic]) -> Json {
+    Json::Arr(
+        diagnostics
+            .iter()
+            .map(|d| {
+                Json::obj(vec![
+                    ("rule", Json::str(d.rule.name())),
+                    ("file", Json::str(&d.file)),
+                    ("line", Json::Int(i128::from(d.line))),
+                    ("reason", Json::str(&d.message)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// Exhausts every protocol model; returns false on any violation. The
@@ -287,5 +263,32 @@ fn workspace_root() -> PathBuf {
     match compiled.parent().and_then(std::path::Path::parent) {
         Some(root) if root.join("crates").is_dir() => root.to_path_buf(),
         _ => PathBuf::from("."),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_findings_keep_their_keys_and_any_text() {
+        let message = "quote \" backslash \\ newline \n control \u{1} end";
+        let d = Diagnostic {
+            rule: Rule::StateCoverage,
+            file: "a.rs".to_string(),
+            line: 7,
+            message: message.to_string(),
+        };
+        let text = findings_json(&[d]).to_string();
+        assert_eq!(
+            text,
+            concat!(
+                r#"[{"rule":"state-coverage","file":"a.rs","line":7,"#,
+                r#""reason":"quote \" backslash \\ newline \n control \u0001 end"}]"#,
+            )
+        );
+        let back = crp_serve::parse(&text).unwrap();
+        let reason = back.as_arr().and_then(|a| a[0].get("reason"));
+        assert_eq!(reason.and_then(Json::as_str), Some(message));
     }
 }

@@ -10,8 +10,7 @@
 //!   recommitting, which the invariant oracle's `check_demand_exact`
 //!   guarantees),
 //! - the engine's [`FlowState`] (history sets, RNG `(seed, draws)`,
-//!   accumulated timers),
-//! - the per-iteration reports produced so far.
+//!   accumulated timers).
 //!
 //! Restoring onto the job's base design (regenerated profile or
 //! re-parsed LEF/DEF) yields a flow that continues **bit-identically**:
@@ -20,13 +19,17 @@
 //! Checkpoint writes are atomic (a spare file that then takes the
 //! checkpoint's name, see `persist`), so a crash while checkpointing
 //! leaves the previous checkpoint intact, never a torn one.
+//!
+//! The module also holds the one codec of each per-iteration record a
+//! watch event carries: [`IterationReport`], [`StageTimers`] and
+//! [`GpIterStats`].
 
 use crate::error::ServeError;
 use crate::json::{parse, Json};
 use crate::persist::replace_file;
 use crp_core::{Crp, CrpConfig, FlowState, IterationReport, StageTimers};
 use crp_geom::{Orientation, Point};
-use crp_gp::GpState;
+use crp_gp::{GpIterStats, GpState};
 use crp_grid::{GridConfig, RouteGrid};
 use crp_netlist::{CellId, Design};
 use crp_router::{NetRoute, RouteSeg, Routing, ViaStack};
@@ -62,8 +65,6 @@ pub struct Checkpoint {
     pub cells: Vec<SavedCell>,
     /// Per-net routes, indexed by net id.
     pub routes: Vec<NetRoute>,
-    /// Reports of the completed iterations.
-    pub reports: Vec<IterationReport>,
 }
 
 impl Checkpoint {
@@ -76,7 +77,6 @@ impl Checkpoint {
         crp: &Crp,
         iterations_done: usize,
         iterations_total: usize,
-        reports: &[IterationReport],
     ) -> Checkpoint {
         let cells = design
             .cell_ids()
@@ -97,7 +97,6 @@ impl Checkpoint {
             flow: crp.snapshot(),
             cells,
             routes: routing.routes.clone(),
-            reports: reports.to_vec(),
         }
     }
 
@@ -158,77 +157,37 @@ impl Checkpoint {
     // crp-lint: checkpoint(FlowState, to_json, from_json)
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let cells = self
-            .cells
-            .iter()
-            .map(|s| {
-                let orient = Orientation::ALL
-                    .iter()
-                    .position(|&o| o == s.orient)
-                    .unwrap_or(0);
-                Json::Arr(vec![
-                    Json::Int(i128::from(s.cell.0)),
-                    Json::Int(i128::from(s.pos.x)),
-                    Json::Int(i128::from(s.pos.y)),
-                    Json::Int(orient as i128),
-                ])
-            })
-            .collect();
-        let routes = self
-            .routes
-            .iter()
-            .map(|r| {
-                let segs = r
-                    .segs
-                    .iter()
-                    .map(|s| {
-                        Json::Arr(vec![
-                            Json::Int(i128::from(s.layer)),
-                            Json::Int(i128::from(s.from.0)),
-                            Json::Int(i128::from(s.from.1)),
-                            Json::Int(i128::from(s.to.0)),
-                            Json::Int(i128::from(s.to.1)),
-                        ])
-                    })
-                    .collect();
-                let vias = r
-                    .vias
-                    .iter()
-                    .map(|v| {
-                        Json::Arr(vec![
-                            Json::Int(i128::from(v.x)),
-                            Json::Int(i128::from(v.y)),
-                            Json::Int(i128::from(v.lo)),
-                            Json::Int(i128::from(v.hi)),
-                        ])
-                    })
-                    .collect();
-                Json::obj(vec![("segs", Json::Arr(segs)), ("vias", Json::Arr(vias))])
-            })
-            .collect();
+        let cells = self.cells.iter().map(|s| {
+            let orient = Orientation::ALL
+                .iter()
+                .position(|&o| o == s.orient)
+                .unwrap_or(0);
+            int_row_to_json([
+                i128::from(s.cell.0),
+                i128::from(s.pos.x),
+                i128::from(s.pos.y),
+                orient as i128,
+            ])
+        });
+        let routes = self.routes.iter().map(|r| {
+            let segs = r.segs.iter().map(|s| {
+                int_row_to_json([s.layer, s.from.0, s.from.1, s.to.0, s.to.1].map(i128::from))
+            });
+            let vias = r
+                .vias
+                .iter()
+                .map(|v| int_row_to_json([v.x, v.y, v.lo, v.hi].map(i128::from)));
+            Json::obj(vec![
+                ("segs", Json::Arr(segs.collect())),
+                ("vias", Json::Arr(vias.collect())),
+            ])
+        });
+        let ids = |cells: &[CellId]| int_row_to_json(cells.iter().map(|c| i128::from(c.0)));
         let flow = Json::obj(vec![
             ("rng_seed", Json::Int(i128::from(self.flow.rng_seed))),
             ("rng_draws", Json::Int(i128::from(self.flow.rng_draws))),
-            (
-                "critical_hist",
-                Json::Arr(
-                    self.flow
-                        .critical_hist
-                        .iter()
-                        .map(|c| Json::Int(i128::from(c.0)))
-                        .collect(),
-                ),
-            ),
-            (
-                "moved_set",
-                Json::Arr(
-                    self.flow
-                        .moved_set
-                        .iter()
-                        .map(|c| Json::Int(i128::from(c.0)))
-                        .collect(),
-                ),
-            ),
+            ("critical_hist", ids(&self.flow.critical_hist)),
+            ("moved_set", ids(&self.flow.moved_set)),
             ("timers", timers_to_json(&self.flow.timers)),
         ]);
         Json::obj(vec![
@@ -237,16 +196,13 @@ impl Checkpoint {
             ("iterations_total", Json::Int(self.iterations_total as i128)),
             ("grid_epoch", Json::Int(i128::from(self.grid_epoch))),
             ("flow", flow),
-            ("cells", Json::Arr(cells)),
-            ("routes", Json::Arr(routes)),
-            (
-                "reports",
-                Json::Arr(self.reports.iter().map(report_to_json).collect()),
-            ),
+            ("cells", Json::Arr(cells.collect())),
+            ("routes", Json::Arr(routes.collect())),
         ])
     }
 
-    /// Parses a checkpoint.
+    /// Parses a checkpoint. Members it does not read are ignored, so a
+    /// checkpoint that still lists its iterations' `reports` loads too.
     ///
     /// # Errors
     ///
@@ -259,19 +215,13 @@ impl Checkpoint {
         let iterations_done = req_usize(v, "iterations_done")?;
         let iterations_total = req_usize(v, "iterations_total")?;
         let grid_epoch = req_u64(v, "grid_epoch")?;
-        let flow_json = v
-            .get("flow")
-            .ok_or_else(|| ServeError::new("checkpoint missing `flow`"))?;
+        let flow_json = req(v, "flow")?;
         let flow = FlowState {
             rng_seed: req_u64(flow_json, "rng_seed")?,
             rng_draws: req_u64(flow_json, "rng_draws")?,
             critical_hist: cell_list(flow_json, "critical_hist")?,
             moved_set: cell_list(flow_json, "moved_set")?,
-            timers: timers_from_json(
-                flow_json
-                    .get("timers")
-                    .ok_or_else(|| ServeError::new("flow missing `timers`"))?,
-            )?,
+            timers: timers_from_json(req(flow_json, "timers")?)?,
         };
         let mut cells = Vec::new();
         for item in req_arr(v, "cells")? {
@@ -308,10 +258,6 @@ impl Checkpoint {
             }
             routes.push(route);
         }
-        let mut reports = Vec::new();
-        for item in req_arr(v, "reports")? {
-            reports.push(report_from_json(item)?);
-        }
         Ok(Checkpoint {
             iterations_done,
             iterations_total,
@@ -319,7 +265,6 @@ impl Checkpoint {
             flow,
             cells,
             routes,
-            reports,
         })
     }
 
@@ -342,12 +287,9 @@ impl Checkpoint {
     ///
     /// Returns a [`ServeError`] on I/O failure or a malformed file.
     pub fn load(path: &Path) -> Result<Option<Checkpoint>, ServeError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        Ok(Some(Checkpoint::from_json(&parse(&text)?)?))
+        read_json(path)?
+            .map(|v| Checkpoint::from_json(&v))
+            .transpose()
     }
 }
 
@@ -427,12 +369,16 @@ pub fn save_gp_state(state: &GpState, path: &Path) -> Result<(), ServeError> {
 ///
 /// Returns a [`ServeError`] on I/O failure or a malformed file.
 pub fn load_gp_state(path: &Path) -> Result<Option<GpState>, ServeError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    Ok(Some(gp_state_from_json(&parse(&text)?)?))
+    read_json(path)?.map(|v| gp_state_from_json(&v)).transpose()
+}
+
+/// Parses the JSON file at `path`; `Ok(None)` when it does not exist.
+fn read_json(path: &Path) -> Result<Option<Json>, ServeError> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(parse(&text)?)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
 }
 
 /// Serializes an [`IterationReport`].
@@ -467,18 +413,64 @@ pub fn report_from_json(v: &Json) -> Result<IterationReport, ServeError> {
     })
 }
 
+/// Serializes a GP iteration's stats as the `report` and `timers` of
+/// its watch event. GP has no routing, so the report's route counters
+/// are zero and its cost pair holds the smooth WA wirelength and the
+/// exact HPWL; the timers hold the density overflow and weight.
+// crp-lint: checkpoint(GpIterStats, gp_stats_to_json, gp_stats_from_json)
+#[must_use]
+pub(crate) fn gp_stats_to_json(s: &GpIterStats) -> (Json, Json) {
+    let report = IterationReport {
+        iteration: s.iter,
+        cost_before: s.wl,
+        cost_after: s.hpwl,
+        ..IterationReport::default()
+    };
+    let timers = Json::obj(vec![
+        ("gp_overflow", Json::Float(s.overflow)),
+        ("gp_lambda", Json::Float(s.lambda)),
+    ]);
+    (report_to_json(&report), timers)
+}
+
+/// Parses what [`gp_stats_to_json`] wrote.
+///
+/// # Errors
+///
+/// Returns a [`ServeError`] on any missing or mistyped field.
+pub(crate) fn gp_stats_from_json(report: &Json, timers: &Json) -> Result<GpIterStats, ServeError> {
+    let report = report_from_json(report)?;
+    Ok(GpIterStats {
+        iter: report.iteration,
+        wl: report.cost_before,
+        hpwl: report.cost_after,
+        overflow: req_f64(timers, "gp_overflow")?,
+        lambda: req_f64(timers, "gp_lambda")?,
+    })
+}
+
+/// Serializes [`StageTimers`]: each stage and their `total_ns` in
+/// integer nanoseconds, the price-cache counters, and the hit rate
+/// (`null` before the first lookup). The total and the rate are derived,
+/// and [`timers_from_json`] ignores them.
 // crp-lint: checkpoint(StageTimers, timers_to_json, timers_from_json)
-fn timers_to_json(t: &StageTimers) -> Json {
+#[must_use]
+pub(crate) fn timers_to_json(t: &StageTimers) -> Json {
     Json::obj(vec![
         ("label_ns", dur(t.label)),
         ("gcp_ns", dur(t.gcp)),
         ("ecc_ns", dur(t.ecc)),
         ("select_ns", dur(t.select)),
         ("update_ns", dur(t.update)),
+        ("total_ns", dur(t.total())),
         ("ecc_cache_hits", Json::Int(i128::from(t.ecc_cache_hits))),
         (
             "ecc_cache_misses",
             Json::Int(i128::from(t.ecc_cache_misses)),
+        ),
+        (
+            "ecc_cache_hit_rate",
+            t.ecc_cache_hit_rate().map_or(Json::Null, Json::Float),
         ),
     ])
 }
@@ -488,7 +480,12 @@ fn dur(d: Duration) -> Json {
     Json::Int(i128::from(ns))
 }
 
-fn timers_from_json(v: &Json) -> Result<StageTimers, ServeError> {
+/// Parses [`StageTimers`] from the seven stored values.
+///
+/// # Errors
+///
+/// Returns a [`ServeError`] on any missing or mistyped field.
+pub(crate) fn timers_from_json(v: &Json) -> Result<StageTimers, ServeError> {
     Ok(StageTimers {
         label: Duration::from_nanos(req_u64(v, "label_ns")?),
         gcp: Duration::from_nanos(req_u64(v, "gcp_ns")?),
@@ -500,13 +497,19 @@ fn timers_from_json(v: &Json) -> Result<StageTimers, ServeError> {
     })
 }
 
+/// The member `key` of `v`.
+pub(crate) fn req<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ServeError> {
+    v.get(key)
+        .ok_or_else(|| ServeError::new(format!("missing `{key}`")))
+}
+
 fn req_u64(v: &Json, key: &str) -> Result<u64, ServeError> {
     v.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| ServeError::new(format!("missing integer `{key}`")))
 }
 
-fn req_usize(v: &Json, key: &str) -> Result<usize, ServeError> {
+pub(crate) fn req_usize(v: &Json, key: &str) -> Result<usize, ServeError> {
     v.get(key)
         .and_then(Json::as_usize)
         .ok_or_else(|| ServeError::new(format!("missing integer `{key}`")))
@@ -522,6 +525,11 @@ fn req_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], ServeError> {
     v.get(key)
         .and_then(Json::as_arr)
         .ok_or_else(|| ServeError::new(format!("missing array `{key}`")))
+}
+
+/// Writes a row of integers (`[a, b, ...]`).
+fn int_row_to_json(row: impl IntoIterator<Item = i128>) -> Json {
+    Json::Arr(row.into_iter().map(Json::Int).collect())
 }
 
 /// Reads a fixed-width row of integers (`[a, b, ...]`).
@@ -597,8 +605,8 @@ mod tests {
     fn checkpoint_roundtrips_through_json() {
         let (mut design, mut grid, mut router, mut routing) = small_flow();
         let mut crp = Crp::new(CrpConfig::default());
-        let reports = vec![crp.run_iteration(0, &mut design, &mut grid, &mut router, &mut routing)];
-        let ckpt = Checkpoint::capture(&design, &grid, &routing, &crp, 1, 3, &reports);
+        crp.run_iteration(0, &mut design, &mut grid, &mut router, &mut routing);
+        let ckpt = Checkpoint::capture(&design, &grid, &routing, &crp, 1, 3);
         let json = ckpt.to_json().to_string();
         let back = Checkpoint::from_json(&parse(&json).unwrap()).unwrap();
         assert_eq!(back, ckpt);
@@ -609,12 +617,11 @@ mod tests {
         let (mut design, mut grid, mut router, mut routing) = small_flow();
         let cfg = CrpConfig::default();
         let mut crp = Crp::new(cfg);
-        let mut reports = Vec::new();
-        reports.push(crp.run_iteration(0, &mut design, &mut grid, &mut router, &mut routing));
-        let ckpt = Checkpoint::capture(&design, &grid, &routing, &crp, 1, 2, &reports);
+        crp.run_iteration(0, &mut design, &mut grid, &mut router, &mut routing);
+        let ckpt = Checkpoint::capture(&design, &grid, &routing, &crp, 1, 2);
 
         // Continue the original run.
-        reports.push(crp.run_iteration(1, &mut design, &mut grid, &mut router, &mut routing));
+        let r1 = crp.run_iteration(1, &mut design, &mut grid, &mut router, &mut routing);
 
         // Restore onto a fresh base design and continue from there.
         let mut design2 = ispd18_profiles()[0].scaled(800.0).generate();
@@ -622,7 +629,7 @@ mod tests {
         let mut router2 = GlobalRouter::new(RouterConfig::default());
         let r2 = crp2.run_iteration(1, &mut design2, &mut grid2, &mut router2, &mut routing2);
 
-        assert_eq!(r2, reports[1], "resumed iteration diverged");
+        assert_eq!(r2, r1, "resumed iteration diverged");
         let pos: Vec<_> = design.cell_ids().map(|c| design.cell(c).pos).collect();
         let pos2: Vec<_> = design2.cell_ids().map(|c| design2.cell(c).pos).collect();
         assert_eq!(pos, pos2, "final placements diverged");
@@ -633,7 +640,7 @@ mod tests {
     fn save_load_atomic_and_missing_is_none() {
         let (design, grid, _router, routing) = small_flow();
         let crp = Crp::new(CrpConfig::default());
-        let ckpt = Checkpoint::capture(&design, &grid, &routing, &crp, 0, 1, &[]);
+        let ckpt = Checkpoint::capture(&design, &grid, &routing, &crp, 0, 1);
         let dir = std::env::temp_dir().join(format!("crp-serve-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("checkpoint.json");
@@ -648,7 +655,7 @@ mod tests {
     fn restore_against_wrong_design_errors() {
         let (design, grid, _router, routing) = small_flow();
         let crp = Crp::new(CrpConfig::default());
-        let ckpt = Checkpoint::capture(&design, &grid, &routing, &crp, 0, 1, &[]);
+        let ckpt = Checkpoint::capture(&design, &grid, &routing, &crp, 0, 1);
         // A different profile: different cell/net counts.
         let mut other = ispd18_profiles()[1].scaled(800.0).generate();
         assert!(ckpt.restore(&mut other, CrpConfig::default()).is_err());

@@ -8,13 +8,14 @@
 //! crashed job at any time, on any worker.
 
 use crate::checkpoint::{
-    load_gp_state, report_from_json, report_to_json, save_gp_state, Checkpoint,
+    gp_stats_from_json, gp_stats_to_json, load_gp_state, report_from_json, report_to_json, req,
+    req_usize, save_gp_state, timers_from_json, timers_to_json, Checkpoint,
 };
 use crate::error::ServeError;
-use crate::json::{parse, Json};
+use crate::json::Json;
 use crate::persist::remove_spares;
 use crate::spec::{JobMode, JobSpec, Workload};
-use crp_core::{Crp, IterationReport};
+use crp_core::{Crp, IterationReport, StageTimers};
 use crp_gp::{legalize_abacus, strip_placement, GlobalPlacer, GpConfig, GpIterStats};
 use crp_grid::{GridConfig, RouteGrid};
 use crp_lefdef::{parse_def, parse_lef, write_def, write_guides};
@@ -39,68 +40,73 @@ pub const RESULT_GUIDE_FILE: &str = "result.guide";
 ///
 /// For `place` jobs the iteration index runs over the *combined* range:
 /// GP iterations first (`0..gp_iterations`), then CR&P iterations offset
-/// by `gp_iterations`, with `total = gp_iterations + iterations`. GP
-/// events carry a synthesized report — no routing exists yet, so the
-/// route-centric counters are zero, `cost_before`/`cost_after` hold the
-/// smooth WA wirelength and the exact HPWL, and `timers_json` carries
-/// the density overflow and weight instead of stage timers.
+/// by `gp_iterations`, with `total = gp_iterations + iterations`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchEvent {
     /// 0-based iteration that just completed.
     pub iteration: usize,
     /// Total iterations the job will run.
     pub total: usize,
-    /// The iteration's statistics.
-    pub report: IterationReport,
-    /// Accumulated `StageTimers::to_json()` output, verbatim — the same
-    /// JSON the `crp-bench` tooling prints, including the price-cache
-    /// hit/miss counters.
-    pub timers_json: String,
+    /// What the iteration did.
+    pub stats: IterStats,
+}
+
+/// The record of one iteration, by phase.
+#[derive(Debug, Clone, PartialEq)]
+pub enum IterStats {
+    /// A GP iteration of a `place` job.
+    Gp(GpIterStats),
+    /// A CR&P iteration's report, and the flow's stage timers accumulated
+    /// over every iteration so far.
+    Crp(IterationReport, StageTimers),
 }
 
 impl WatchEvent {
+    /// The flow's accumulated stage timers, on a CR&P event.
+    #[must_use]
+    pub fn timers(&self) -> Option<&StageTimers> {
+        match &self.stats {
+            IterStats::Crp(_, timers) => Some(timers),
+            IterStats::Gp(_) => None,
+        }
+    }
+
     /// Serializes the event for the wire and for the job's
-    /// `events.jsonl`. The `timers` field embeds `timers_json` as-is (it
-    /// is already canonical JSON; a parse failure would be a bug and
-    /// degrades to a string).
+    /// `events.jsonl`: `iteration`, `total`, `report` and `timers`.
     // crp-lint: checkpoint(WatchEvent, to_json, from_json)
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let timers = parse(&self.timers_json).unwrap_or_else(|_| Json::str(&self.timers_json));
+        let (report, timers) = match &self.stats {
+            IterStats::Gp(stats) => gp_stats_to_json(stats),
+            IterStats::Crp(report, timers) => (report_to_json(report), timers_to_json(timers)),
+        };
         Json::obj(vec![
             ("iteration", Json::Int(self.iteration as i128)),
             ("total", Json::Int(self.total as i128)),
-            ("report", report_to_json(&self.report)),
+            ("report", report),
             ("timers", timers),
         ])
     }
 
-    /// Parses what [`WatchEvent::to_json`] wrote. Serializing the result
-    /// again gives the same bytes, so an event read back from disk goes
-    /// out on the wire exactly as it did live.
+    /// Parses what [`WatchEvent::to_json`] wrote; a GP event is the one
+    /// whose timers hold `gp_overflow`. Serializing the result again gives
+    /// the same bytes, so an event read back from disk goes out on the
+    /// wire exactly as it did live.
     ///
     /// # Errors
     ///
     /// Returns a [`ServeError`] on any missing or mistyped field.
     pub fn from_json(v: &Json) -> Result<WatchEvent, ServeError> {
-        let field = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| ServeError::new(format!("event without `{key}`")))
-        };
-        let count = |key: &str| {
-            field(key)?
-                .as_usize()
-                .ok_or_else(|| ServeError::new(format!("event `{key}` is not a count")))
-        };
-        let timers_json = match field("timers")? {
-            Json::Str(degraded) => degraded.clone(),
-            timers => timers.to_string(),
+        let (report, timers) = (req(v, "report")?, req(v, "timers")?);
+        let stats = if timers.get("gp_overflow").is_some() {
+            IterStats::Gp(gp_stats_from_json(report, timers)?)
+        } else {
+            IterStats::Crp(report_from_json(report)?, timers_from_json(timers)?)
         };
         Ok(WatchEvent {
-            iteration: count("iteration")?,
-            total: count("total")?,
-            report: report_from_json(field("report")?)?,
-            timers_json,
+            iteration: req_usize(v, "iteration")?,
+            total: req_usize(v, "total")?,
+            stats,
         })
     }
 }
@@ -145,32 +151,6 @@ pub fn build_base_design(workload: &Workload) -> Result<Design, ServeError> {
             parse_def(&def_text, &tech).map_err(|e| ServeError::new(format!("DEF parse: {e}")))
         }
     }
-}
-
-/// Shapes a GP iteration's stats as a [`WatchEvent`] report: GP has no
-/// routing, so the route-centric counters are zero and the cost pair is
-/// the smooth WA wirelength and the exact HPWL at the evaluated
-/// reference point.
-fn gp_report(stats: &GpIterStats) -> IterationReport {
-    IterationReport {
-        iteration: stats.iter,
-        critical_cells: 0,
-        candidates: 0,
-        moved_cells: 0,
-        rerouted_nets: 0,
-        cost_before: stats.wl,
-        cost_after: stats.hpwl,
-    }
-}
-
-/// The GP phase has no stage timers; its `timers_json` slot carries the
-/// solver's own telemetry instead.
-fn gp_timers_json(stats: &GpIterStats) -> String {
-    Json::obj(vec![
-        ("gp_overflow", Json::Float(stats.overflow)),
-        ("gp_lambda", Json::Float(stats.lambda)),
-    ])
-    .to_string()
 }
 
 /// Runs (or resumes) the GP phase of a `place` job: strips the incoming
@@ -218,8 +198,7 @@ fn run_gp_phase(
         on_event(WatchEvent {
             iteration: stats.iter,
             total: grand_total,
-            report: gp_report(&stats),
-            timers_json: gp_timers_json(&stats),
+            stats: IterStats::Gp(stats),
         });
         let done = placer.state().iter;
         if spec.checkpoint_every > 0
@@ -244,7 +223,7 @@ fn run_gp_phase(
 /// driver emits a [`WatchEvent`], honors `cancel`/`pause`, and — every
 /// `spec.checkpoint_every` iterations — atomically rewrites the
 /// checkpoint. On completion it writes `result.def` and `result.guide`
-/// plus a final checkpoint (whose reports back the `status` verb).
+/// plus a final checkpoint of the finished state.
 ///
 /// [`JobMode::Place`] jobs prepend the GP phase ([`run_gp_phase`]): a
 /// CR&P checkpoint implies the GP phase already finished (its legalized
@@ -283,23 +262,17 @@ pub fn run_job(
         }
     }
 
-    let (mut grid, mut routing, mut crp, mut reports, start) = match loaded {
+    let (mut grid, mut routing, mut crp, start) = match loaded {
         Some(ckpt) => {
             let (grid, routing, crp) = ckpt.restore(&mut design, config)?;
-            (
-                grid,
-                routing,
-                crp,
-                ckpt.reports.clone(),
-                ckpt.iterations_done,
-            )
+            (grid, routing, crp, ckpt.iterations_done)
         }
         None => {
             let mut grid = RouteGrid::try_new(&design, GridConfig::default())
                 .map_err(|e| ServeError::new(format!("grid build failed: {e}")))?;
             let mut router = GlobalRouter::new(RouterConfig::default());
             let routing = router.route_all(&design, &mut grid);
-            (grid, routing, Crp::new(config), Vec::new(), 0)
+            (grid, routing, Crp::new(config), 0)
         }
     };
     // `reroute_net` — the only router entry the flow uses — ignores RRR
@@ -312,22 +285,18 @@ pub fn run_job(
             return Ok(RunOutcome::Cancelled);
         }
         if pause.load(Ordering::Acquire) {
-            Checkpoint::capture(&design, &grid, &routing, &crp, i, total, &reports)
-                .save(&ckpt_path)?;
+            Checkpoint::capture(&design, &grid, &routing, &crp, i, total).save(&ckpt_path)?;
             return Ok(RunOutcome::Paused);
         }
         let report = crp.run_iteration(i, &mut design, &mut grid, &mut router, &mut routing);
-        reports.push(report);
         on_event(WatchEvent {
             iteration: gp_off + i,
             total: grand_total,
-            report,
-            timers_json: crp.timers().to_json(),
+            stats: IterStats::Crp(report, *crp.timers()),
         });
         let done = i + 1;
         if spec.checkpoint_every > 0 && done % spec.checkpoint_every == 0 && done < total {
-            Checkpoint::capture(&design, &grid, &routing, &crp, done, total, &reports)
-                .save(&ckpt_path)?;
+            Checkpoint::capture(&design, &grid, &routing, &crp, done, total).save(&ckpt_path)?;
         }
     }
 
@@ -339,10 +308,10 @@ pub fn run_job(
         dir.join(RESULT_GUIDE_FILE),
         write_guides(&design, &grid, &routing),
     )?;
-    // Final checkpoint: lets `status` report per-iteration history after
-    // completion and makes `Done` recovery trivially idempotent. It is
-    // never rewritten, so its spare goes.
-    Checkpoint::capture(&design, &grid, &routing, &crp, total, total, &reports).save(&ckpt_path)?;
+    // Final checkpoint: the finished flow state. A daemon that dies
+    // before marking the job done resumes from it straight to the
+    // results. It is never rewritten, so its spare goes.
+    Checkpoint::capture(&design, &grid, &routing, &crp, total, total).save(&ckpt_path)?;
     remove_spares(&ckpt_path);
     // The GP snapshot is superseded by the final CR&P checkpoint; a
     // leftover would only waste space (it is never consulted once a
@@ -358,6 +327,7 @@ pub fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
     use std::sync::atomic::AtomicBool;
 
     fn spec() -> JobSpec {
@@ -463,8 +433,8 @@ mod tests {
             assert_eq!(ev.iteration, k);
             assert_eq!(ev.total, 8);
         }
-        assert!(events[0].timers_json.contains("gp_overflow"));
-        assert!(events[7].timers_json.contains("ecc_cache_hits"));
+        assert!(matches!(events[5].stats, IterStats::Gp(_)));
+        assert!(events[7].timers().is_some_and(|t| t.ecc_cache_misses > 0));
         assert!(dir.join(RESULT_DEF_FILE).exists());
         assert!(dir.join(RESULT_GUIDE_FILE).exists());
         assert!(
@@ -528,10 +498,69 @@ mod tests {
             let line = ev.to_json().to_string();
             let back = WatchEvent::from_json(&parse(&line).unwrap()).unwrap();
             assert_eq!(back.to_json().to_string(), line);
-            assert_eq!(back.iteration, ev.iteration);
-            assert_eq!(back.report, ev.report);
+            assert_eq!(&back, ev);
         }
         assert!(WatchEvent::from_json(&Json::obj(vec![("iteration", Json::Int(0))])).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Lines the previous release wrote to `events.jsonl` for
+    /// `place_spec()`: the first GP event and the last CR&P event.
+    const OLD_GP_EVENT: &str = concat!(
+        r#"{"iteration":0,"total":8,"report":{"iteration":0,"critical_cells":0,"candidates":0,"#,
+        r#""moved_cells":0,"rerouted_nets":0,"cost_before":14480.764086588446,"#,
+        r#""cost_after":33096.163063988875},"timers":{"gp_overflow":0.6497376592267244,"#,
+        r#""gp_lambda":298.10269229046884}}"#,
+    );
+    const OLD_CRP_EVENT: &str = concat!(
+        r#"{"iteration":7,"total":8,"report":{"iteration":1,"critical_cells":1,"candidates":8,"#,
+        r#""moved_cells":0,"rerouted_nets":0,"cost_before":458.5795542683053,"#,
+        r#""cost_after":458.5795542683053},"timers":{"label_ns":92643,"gcp_ns":368899,"#,
+        r#""ecc_ns":435038,"select_ns":30364,"update_ns":4649,"total_ns":931593,"#,
+        r#""ecc_cache_hits":148,"ecc_cache_misses":51,"ecc_cache_hit_rate":0.7437185929648241}}"#,
+    );
+    /// The checkpoint the previous release wrote for `spec()` after its
+    /// first iteration: seven-key timers and a `reports` list.
+    const OLD_CHECKPOINT: &str = concat!(
+        r#"{"version":1,"iterations_done":1,"iterations_total":3,"grid_epoch":51,"#,
+        r#""flow":{"rng_seed":49374,"rng_draws":6,"critical_hist":[2,3,4,6,11,13],"moved_set":[],"#,
+        r#""timers":{"label_ns":12356,"gcp_ns":263028,"ecc_ns":82716,"select_ns":92955,"#,
+        r#""update_ns":1932,"ecc_cache_hits":106,"ecc_cache_misses":19}},"cells":[[0,3200,2000,"#,
+        r#"5],[1,1000,4000,0],[2,1600,0,0],[3,200,2000,5],[4,2000,0,0],[5,3200,0,0],[6,800,4000,"#,
+        r#"0],[7,1600,2000,5],[8,1400,2000,5],[9,600,2000,5],[10,3400,4000,0],[11,3000,4000,0],"#,
+        r#"[12,2400,0,0],[13,1600,4000,0],[14,1800,4000,0],[15,800,0,0]],"routes":[{"segs":[[1,0,"#,
+        r#"0,1,0],[2,1,0,1,1]],"vias":[[0,0,0,1],[1,0,0,2],[1,1,0,2]]},{"segs":[],"vias":[]},"#,
+        r#"{"segs":[],"vias":[]},{"segs":[],"vias":[]},{"segs":[[2,0,0,0,1]],"vias":[[0,0,0,2],"#,
+        r#"[0,1,0,2]]},{"segs":[],"vias":[]},{"segs":[[2,0,0,0,1]],"vias":[[0,0,0,2],[0,1,0,2]]},"#,
+        r#"{"segs":[],"vias":[]}],"reports":[{"iteration":0,"critical_cells":6,"candidates":48,"#,
+        r#""moved_cells":0,"rerouted_nets":0,"cost_before":28.000101487758684,"#,
+        r#""cost_after":28.000101487758684}]}"#,
+    );
+
+    /// A daemon upgraded over an existing data dir reads the event logs
+    /// and checkpoints the previous release left there, and resumes.
+    #[test]
+    fn previous_release_events_and_checkpoints_still_load() {
+        for line in [OLD_GP_EVENT, OLD_CRP_EVENT] {
+            let ev = WatchEvent::from_json(&parse(line).unwrap()).unwrap();
+            assert_eq!(ev.to_json().to_string(), line);
+        }
+        assert!(Checkpoint::from_json(&parse(OLD_CHECKPOINT).unwrap()).is_ok());
+        let no = AtomicBool::new(false);
+        let (ref_dir, dir) = (tmp_dir("old-ref"), tmp_dir("old-resume"));
+        run_job(&spec(), &ref_dir, 1, &no, &no, &mut |_| {}).unwrap();
+        std::fs::write(dir.join(CHECKPOINT_FILE), OLD_CHECKPOINT).unwrap();
+        let mut resumed = Vec::new();
+        run_job(&spec(), &dir, 1, &no, &no, &mut |e| {
+            resumed.push(e.iteration)
+        })
+        .unwrap();
+        assert_eq!(resumed, [1, 2]);
+        for file in [RESULT_DEF_FILE, RESULT_GUIDE_FILE] {
+            let read = |d: &Path| std::fs::read_to_string(d.join(file)).unwrap();
+            assert_eq!(read(&dir), read(&ref_dir), "{file} diverged");
+        }
+        let _ = std::fs::remove_dir_all(&ref_dir);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

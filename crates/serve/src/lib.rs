@@ -22,10 +22,10 @@
 //!   state (placement, routes, grid epoch, RNG stream position, history
 //!   sets, timers) is written atomically to disk, so a SIGKILLed daemon
 //!   resumes every in-flight job **bit-identically** on restart,
-//! - **streaming progress**: `watch` streams per-iteration events
-//!   carrying the same JSON produced by `StageTimers::to_json`, from
-//!   memory while a job runs and from its `events.jsonl` once it has
-//!   finished.
+//! - **streaming progress**: `watch` streams typed per-iteration events
+//!   (the iteration's report and the flow's stage timers, or a GP
+//!   step's stats), from memory while a job runs and from its
+//!   `events.jsonl` once it has finished.
 //!
 //! The wire protocol and job state machine are documented in
 //! `DESIGN.md` §10.
@@ -48,7 +48,7 @@ pub mod spec;
 
 pub use checkpoint::{Checkpoint, SavedCell};
 pub use client::Client;
-pub use driver::{run_job, RunOutcome, WatchEvent};
+pub use driver::{run_job, IterStats, RunOutcome, WatchEvent};
 pub use error::ServeError;
 pub use fairshare::{FinishKind, Ledger, TenantCounters, TenantQuota, TenantView};
 pub use json::{parse, Json, JsonError};

@@ -34,6 +34,7 @@ use crate::json::{parse, Json};
 use crate::persist::{remove_spares, replace_file};
 use crate::signal::ChangeSignal;
 use crate::spec::{JobSpec, JobState, Lane};
+use crp_core::StageTimers;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -101,11 +102,6 @@ struct JobRecord {
     /// job's `events.jsonl` (resume-aware: prefilled from that file on
     /// recovery).
     events: Vec<WatchEvent>,
-    /// Cumulative price-cache hit/miss counters from the job's latest
-    /// event (the flow's timers accumulate across iterations and survive
-    /// checkpoint restore, so this is a per-job lifetime total).
-    cache_hits: u64,
-    cache_misses: u64,
     /// Every event reached `events.jsonl`. A job whose log missed one
     /// stays in memory when it finishes, since its directory could not
     /// serve `watch` faithfully.
@@ -122,28 +118,34 @@ impl JobRecord {
             iterations_done: 0,
             granted: 0,
             events: Vec::new(),
-            cache_hits: 0,
-            cache_misses: 0,
             logged: true,
             flags: Arc::new(JobFlags::default()),
         }
     }
 }
 
-/// What the metrics still count of jobs that left memory.
-#[derive(Debug, Default)]
-struct Retired {
-    /// Jobs per terminal state, by wire name.
+/// What the metrics count of jobs: jobs per state and price-cache
+/// totals. The scheduler keeps one for the jobs that left memory, and a
+/// snapshot adds the live jobs to a copy.
+#[derive(Debug, Default, Clone)]
+struct Census {
+    /// Jobs per state, by wire name.
     states: BTreeMap<&'static str, usize>,
     cache_hits: u64,
     cache_misses: u64,
 }
 
-impl Retired {
-    fn add(&mut self, state: JobState, (hits, misses): (u64, u64)) {
+impl Census {
+    /// Counts a job by its state and latest event. A CR&P event carries
+    /// the flow's lifetime price-cache counters (the timers accumulate
+    /// across iterations and survive checkpoint restore), a GP event
+    /// none yet.
+    fn add(&mut self, state: JobState, last: Option<&WatchEvent>) {
         *self.states.entry(state.as_str()).or_insert(0) += 1;
-        self.cache_hits += hits;
-        self.cache_misses += misses;
+        if let Some(t) = last.and_then(WatchEvent::timers) {
+            self.cache_hits = self.cache_hits.saturating_add(t.ecc_cache_hits);
+            self.cache_misses = self.cache_misses.saturating_add(t.ecc_cache_misses);
+        }
     }
 }
 
@@ -151,7 +153,7 @@ impl Retired {
 struct SchedState {
     /// Live jobs only; finished ones are on disk and in `retired`.
     jobs: BTreeMap<u64, JobRecord>,
-    retired: Retired,
+    retired: Census,
     ledger: Ledger,
     next_id: u64,
     running: usize,
@@ -295,13 +297,12 @@ impl SchedMetrics {
             .iter()
             .map(|(&name, &n)| (name.to_string(), Json::Int(n as i128)))
             .collect::<Vec<_>>();
-        let total_cache = self.cache_hits + self.cache_misses;
-        #[allow(clippy::cast_precision_loss)]
-        let hit_rate = if total_cache > 0 {
-            Json::Float(self.cache_hits as f64 / total_cache as f64)
-        } else {
-            Json::Null
+        let cache = StageTimers {
+            ecc_cache_hits: self.cache_hits,
+            ecc_cache_misses: self.cache_misses,
+            ..StageTimers::default()
         };
+        let hit_rate = cache.ecc_cache_hit_rate().map_or(Json::Null, Json::Float);
         let in_use = self.total_threads.saturating_sub(self.free_threads);
         #[allow(clippy::cast_precision_loss)]
         let utilization = if self.total_threads > 0 {
@@ -351,27 +352,6 @@ fn lock_state(inner: &SchedInner) -> std::sync::MutexGuard<'_, SchedState> {
         .state
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Extracts the cumulative price-cache counters from a watch event's
-/// timers payload (`StageTimers::to_json` output).
-fn cache_counters(timers_json: &str) -> (u64, u64) {
-    match parse(timers_json) {
-        Ok(v) => (
-            v.get("ecc_cache_hits").and_then(Json::as_u64).unwrap_or(0),
-            v.get("ecc_cache_misses")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-        ),
-        Err(_) => (0, 0),
-    }
-}
-
-/// The price-cache counters of a job's latest event.
-fn last_cache_counters(events: &[WatchEvent]) -> (u64, u64) {
-    events
-        .last()
-        .map_or((0, 0), |ev| cache_counters(&ev.timers_json))
 }
 
 /// The numeric entries of `jobs/`: every id a job directory exists for.
@@ -426,27 +406,31 @@ fn write_state(dir: &Path, state: JobState, error: Option<&str>) -> std::io::Res
     )
 }
 
-/// The events in an `events.jsonl` text: every newline-terminated line
-/// up to the first that does not parse. A line without its newline is a
+/// The first `limit` events of an `events.jsonl` log, and the byte
+/// length of the lines they came from: every newline-terminated line up
+/// to the first that does not parse. A line without its newline is a
 /// write torn by a crash, and is dropped.
-fn parse_events(text: &str) -> Vec<WatchEvent> {
+fn parse_events(log: &[u8], limit: usize) -> (Vec<WatchEvent>, usize) {
     let mut events = Vec::new();
-    let mut rest = text;
-    while let Some((line, tail)) = rest.split_once('\n') {
-        let parsed = parse(line)
-            .map_err(ServeError::from)
-            .and_then(|v| WatchEvent::from_json(&v));
-        match parsed {
-            Ok(ev) => events.push(ev),
-            Err(_) => break,
-        }
-        rest = tail;
+    let mut taken = 0;
+    for line in log.split_inclusive(|&b| b == b'\n').take(limit) {
+        let event = line
+            .strip_suffix(b"\n")
+            .and_then(|body| std::str::from_utf8(body).ok())
+            .and_then(|text| parse(text).ok())
+            .and_then(|v| WatchEvent::from_json(&v).ok());
+        let Some(event) = event else {
+            break;
+        };
+        events.push(event);
+        taken += line.len();
     }
-    events
+    (events, taken)
 }
 
 fn read_events(dir: &Path) -> Vec<WatchEvent> {
-    parse_events(&std::fs::read_to_string(dir.join(EVENTS_FILE)).unwrap_or_default())
+    let log = std::fs::read(dir.join(EVENTS_FILE)).unwrap_or_default();
+    parse_events(&log, usize::MAX).0
 }
 
 /// Appends one event line to the job's log in a single write. `log` is
@@ -493,7 +477,7 @@ impl Scheduler {
                 config,
                 state: Mutex::new(SchedState {
                     jobs: BTreeMap::new(),
-                    retired: Retired::default(),
+                    retired: Census::default(),
                     ledger,
                     next_id,
                     running: 0,
@@ -568,8 +552,8 @@ impl Scheduler {
         let dir = self.job_dir(id);
         let JobDir { spec, state, error } = read_job_dir(&dir)?;
         if state.is_terminal() {
-            let counters = last_cache_counters(&read_events(&dir));
-            lock_state(&self.inner).retired.add(state, counters);
+            let last = read_events(&dir).pop();
+            lock_state(&self.inner).retired.add(state, last.as_ref());
             return Ok(false);
         }
         let ckpt = crate::checkpoint::Checkpoint::load(&dir.join(CHECKPOINT_FILE)).unwrap_or(None);
@@ -585,18 +569,15 @@ impl Scheduler {
         };
         // The resumed run starts at the checkpoint and emits every later
         // event again, so the log keeps exactly the checkpointed prefix:
-        // a torn last line and any event after the checkpoint go.
-        let log = std::fs::read_to_string(dir.join(EVENTS_FILE)).unwrap_or_default();
-        let mut events = parse_events(&log);
-        events.truncate(iterations_done);
-        let kept: String = events
-            .iter()
-            .map(|ev| format!("{}\n", ev.to_json()))
-            .collect();
-        if kept != log {
-            let tmp = dir.join("events.jsonl.tmp");
-            std::fs::write(&tmp, kept)?;
-            std::fs::rename(&tmp, dir.join(EVENTS_FILE))?;
+        // a torn last line and any event after the checkpoint are cut.
+        let log_path = dir.join(EVENTS_FILE);
+        let log = std::fs::read(&log_path).unwrap_or_default();
+        let (events, kept) = parse_events(&log, iterations_done);
+        if kept < log.len() {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&log_path)?
+                .set_len(kept as u64)?;
         }
 
         let mut st = lock_state(&self.inner);
@@ -605,7 +586,6 @@ impl Scheduler {
         let mut rec = JobRecord::new(spec, JobState::Queued);
         rec.error = error;
         rec.iterations_done = iterations_done;
-        (rec.cache_hits, rec.cache_misses) = last_cache_counters(&events);
         rec.events = events;
         st.jobs.insert(id, rec);
         st.ledger.enqueue_recovered(&tenant, lane, id);
@@ -795,13 +775,9 @@ impl Scheduler {
     #[must_use]
     pub fn metrics(&self) -> SchedMetrics {
         let st = lock_state(&self.inner);
-        let mut states = st.retired.states.clone();
-        let mut cache_hits = st.retired.cache_hits;
-        let mut cache_misses = st.retired.cache_misses;
+        let mut census = st.retired.clone();
         for rec in st.jobs.values() {
-            *states.entry(rec.state.as_str()).or_insert(0) += 1;
-            cache_hits += rec.cache_hits;
-            cache_misses += rec.cache_misses;
+            census.add(rec.state, rec.events.last());
         }
         SchedMetrics {
             queue_capacity: self.inner.config.queue_capacity,
@@ -812,10 +788,10 @@ impl Scheduler {
             free_threads: st.free_threads,
             draining: st.draining,
             tenants: st.ledger.views(),
-            states,
+            states: census.states,
             resident: st.jobs.len(),
-            cache_hits,
-            cache_misses,
+            cache_hits: census.cache_hits,
+            cache_misses: census.cache_misses,
         }
     }
 
@@ -896,8 +872,7 @@ impl Scheduler {
             .is_some_and(|rec| rec.state.is_terminal() && rec.logged)
         {
             if let Some(rec) = st.jobs.remove(&id) {
-                st.retired
-                    .add(rec.state, (rec.cache_hits, rec.cache_misses));
+                st.retired.add(rec.state, rec.events.last());
             }
         }
     }
@@ -992,12 +967,9 @@ impl Scheduler {
                 // The log gets the event before memory does, so a job
                 // that leaves memory has all of its events on disk.
                 let logged = append_event(&mut log, &dir, &ev).is_ok();
-                let (hits, misses) = cache_counters(&ev.timers_json);
                 let mut st = lock_state(&sched.inner);
                 if let Some(rec) = st.jobs.get_mut(&id) {
                     rec.iterations_done = ev.iteration + 1;
-                    rec.cache_hits = hits;
-                    rec.cache_misses = misses;
                     rec.logged &= logged;
                     rec.events.push(ev);
                 }
@@ -1321,24 +1293,33 @@ mod tests {
         let ev = |iteration| WatchEvent {
             iteration,
             total: 3,
-            report: crp_core::IterationReport {
-                iteration,
-                critical_cells: 1,
-                candidates: 2,
-                moved_cells: 0,
-                rerouted_nets: 0,
-                cost_before: 1.5,
-                cost_after: 1.25,
-            },
-            timers_json: "{\"ecc_cache_hits\":4,\"ecc_cache_misses\":6}".to_string(),
+            stats: crate::driver::IterStats::Crp(
+                crp_core::IterationReport {
+                    iteration,
+                    critical_cells: 1,
+                    candidates: 2,
+                    cost_before: 1.5,
+                    cost_after: 1.25,
+                    ..Default::default()
+                },
+                StageTimers::default(),
+            ),
         };
         let line = |i| format!("{}\n", ev(i).to_json());
         let torn = format!("{}{}{}", line(0), line(1), &line(2)[..20]);
-        let events = parse_events(&torn);
-        assert_eq!(events, vec![ev(0), ev(1)]);
-        assert_eq!(last_cache_counters(&events), (4, 6));
+        let two = line(0).len() + line(1).len();
+        assert_eq!(
+            parse_events(torn.as_bytes(), usize::MAX),
+            (vec![ev(0), ev(1)], two)
+        );
+        assert_eq!(
+            parse_events(torn.as_bytes(), 1),
+            (vec![ev(0)], line(0).len())
+        );
         let corrupt = format!("{}not json\n{}", line(0), line(2));
-        assert_eq!(parse_events(&corrupt), vec![ev(0)]);
+        assert_eq!(parse_events(corrupt.as_bytes(), usize::MAX).0, vec![ev(0)]);
+        let not_utf8 = [line(0).as_bytes(), b"\xff\n"].concat();
+        assert_eq!(parse_events(&not_utf8, usize::MAX).0, vec![ev(0)]);
     }
 
     #[test]
