@@ -11,7 +11,7 @@
 //! whole workspace), resolves `<ser_fn>` / `<de_fn>` the same way, and
 //! computes the set of identifiers mentioned by each function *and
 //! everything it transitively calls* (over the call graph of
-//! [`crate::dataflow::Workspace`]). A field whose name never appears in
+//! [`crate::workspace`]). A field whose name never appears in
 //! the serializer's reachable identifiers is state the checkpoint
 //! silently drops; one missing from the restorer is state that never
 //! comes back. Findings anchor at the field's declaration line, so a
@@ -28,44 +28,23 @@
 //! "added a field, forgot the codec" — and the checkpoint roundtrip
 //! proptests pin the values themselves.
 
-use crate::dataflow::Workspace;
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
 use crate::rules::{matching, CheckpointDirective, Diagnostic, Rule};
+use crate::workspace::Workspace;
 use std::collections::BTreeSet;
 
-/// Runs the `state-coverage` rule over `files` (workspace-relative
-/// path, source text), returning the unsuppressed diagnostics sorted by
-/// file and line.
-#[must_use]
-pub fn analyze(files: &[(String, String)]) -> Vec<Diagnostic> {
-    let lexed: Vec<Vec<Token>> = files.iter().map(|(_, src)| lex(src)).collect();
-    let ws = Workspace::build(files, &lexed);
-    let mut out = Vec::new();
-    for fi in 0..ws.files.len() {
-        // Directives are parsed per file; clone to end the borrow.
-        let directives: Vec<CheckpointDirective> = ws.files[fi].ann.checkpoints.clone();
-        for cp in &directives {
-            check_directive(&ws, fi, cp, &mut out);
+/// Runs the `state-coverage` rule over `ws`.
+pub(crate) fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    for (fi, file) in ws.files.iter().enumerate() {
+        for cp in &file.ann.checkpoints {
+            check_directive(ws, fi, cp, out);
         }
     }
-    out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
-    out
 }
 
-fn check_directive(
-    ws: &Workspace<'_>,
-    fi: usize,
-    cp: &CheckpointDirective,
-    out: &mut Vec<Diagnostic>,
-) {
-    let here = ws.files[fi].rel.to_string();
+fn check_directive(ws: &Workspace, fi: usize, cp: &CheckpointDirective, out: &mut Vec<Diagnostic>) {
     let mut fail = |line: u32, message: String| {
-        out.push(Diagnostic {
-            rule: Rule::StateCoverage,
-            file: here.clone(),
-            line,
-            message,
-        });
+        ws.files[fi].emit(out, Rule::StateCoverage, line, message);
     };
 
     let Some((sfi, fields)) = find_struct(ws, fi, &cp.strukt) else {
@@ -126,28 +105,25 @@ fn check_directive(
             if idents.contains(fname) {
                 continue;
             }
-            if struct_file.ann.allowed(Rule::StateCoverage, *fline) {
-                continue;
-            }
-            out.push(Diagnostic {
-                rule: Rule::StateCoverage,
-                file: struct_file.rel.to_string(),
-                line: *fline,
-                message: format!(
+            struct_file.emit(
+                out,
+                Rule::StateCoverage,
+                *fline,
+                format!(
                     "field `{fname}` of `{}` is never mentioned by {what} \
                      `{fn_name}` (directly or through its helpers): \
                      {consequence} — extend the codec or annotate why the \
                      field is recoverable",
                     cp.strukt
                 ),
-            });
+            );
         }
     }
 }
 
 /// Finds `struct <name> { .. }`: same file first, then workspace-wide.
 /// Returns the file index and the `(field, line)` list.
-fn find_struct(ws: &Workspace<'_>, fi: usize, name: &str) -> Option<(usize, Vec<(String, u32)>)> {
+fn find_struct(ws: &Workspace, fi: usize, name: &str) -> Option<(usize, Vec<(String, u32)>)> {
     let in_file = |idx: usize| -> Option<Vec<(String, u32)>> {
         let code = &ws.files[idx].code;
         for i in 0..code.len().saturating_sub(1) {
@@ -157,7 +133,7 @@ fn find_struct(ws: &Workspace<'_>, fi: usize, name: &str) -> Option<(usize, Vec<
                 let mut j = i + 2;
                 let mut angle = 0i32;
                 while j < code.len() {
-                    let t = code[j];
+                    let t = &code[j];
                     if t.is_punct('<') {
                         angle += 1;
                     } else if t.is_punct('>') {
@@ -192,11 +168,11 @@ fn find_struct(ws: &Workspace<'_>, fi: usize, name: &str) -> Option<(usize, Vec<
 }
 
 /// Field names (and lines) of a brace struct body.
-fn parse_fields(code: &[&Token], open: usize, close: usize) -> Vec<(String, u32)> {
+fn parse_fields(code: &[Token], open: usize, close: usize) -> Vec<(String, u32)> {
     let mut out = Vec::new();
     let mut i = open + 1;
     while i < close {
-        let t = code[i];
+        let t = &code[i];
         // Attributes on a field.
         if t.is_punct('#') && code.get(i + 1).is_some_and(|n| n.is_punct('[')) {
             i = matching(code, i + 1, '[', ']').map_or(close, |e| e + 1);
@@ -216,7 +192,7 @@ fn parse_fields(code: &[&Token], open: usize, close: usize) -> Vec<(String, u32)
             let mut depth = 0i32;
             let mut j = i + 2;
             while j < close {
-                let c = code[j];
+                let c = &code[j];
                 if c.kind == TokenKind::Punct {
                     match c.text.as_bytes().first() {
                         Some(b'(' | b'[' | b'{' | b'<') => depth += 1,
@@ -238,7 +214,7 @@ fn parse_fields(code: &[&Token], open: usize, close: usize) -> Vec<(String, u32)
 /// Function indices matching `name`: same-file definitions shadow the
 /// rest of the workspace (codec functions are commonly all called
 /// `to_json`; the directive lives next to the intended one).
-fn resolve_codec_fn(ws: &Workspace<'_>, fi: usize, name: &str) -> Vec<usize> {
+fn resolve_codec_fn(ws: &Workspace, fi: usize, name: &str) -> Vec<usize> {
     let by_name = |pred: &dyn Fn(usize) -> bool| -> Vec<usize> {
         ws.fns
             .iter()
@@ -257,30 +233,22 @@ fn resolve_codec_fn(ws: &Workspace<'_>, fi: usize, name: &str) -> Vec<usize> {
 
 /// Union of identifier texts in the bodies of `roots` and everything
 /// they transitively call.
-fn reachable_idents(ws: &Workspace<'_>, roots: &[usize]) -> BTreeSet<String> {
+fn reachable_idents(ws: &Workspace, roots: &[usize]) -> BTreeSet<String> {
     let mut seen = vec![false; ws.fns.len()];
-    let mut queue: Vec<usize> = Vec::new();
     for &r in roots {
-        if !seen[r] {
-            seen[r] = true;
-            queue.push(r);
-        }
+        seen[r] = true;
     }
+    ws.fixpoint(|i, _, t| {
+        let now = seen[i] && !seen[t];
+        seen[t] |= now;
+        now
+    });
     let mut idents = BTreeSet::new();
-    while let Some(i) = queue.pop() {
-        let f = &ws.fns[i];
+    for (f, _) in ws.fns.iter().zip(&seen).filter(|(_, &s)| s) {
         let code = &ws.files[f.file].code;
         for t in &code[f.body.0 + 1..f.body.1] {
             if t.kind == TokenKind::Ident {
                 idents.insert(t.text.clone());
-            }
-        }
-        for targets in &ws.resolved[i] {
-            for &t in targets {
-                if !seen[t] {
-                    seen[t] = true;
-                    queue.push(t);
-                }
             }
         }
     }
@@ -292,7 +260,12 @@ mod tests {
     use super::*;
 
     fn run(src: &str) -> Vec<Diagnostic> {
-        analyze(&[("t.rs".to_string(), src.to_string())])
+        let mut out = Vec::new();
+        check(
+            &Workspace::build(&[("t.rs".to_string(), src.to_string())]),
+            &mut out,
+        );
+        out
     }
 
     #[test]

@@ -1,12 +1,8 @@
 //! Interprocedural dataflow rules: `float-order` and `epoch-protocol`.
 //!
-//! Both rules (and the `state-coverage` rule in [`crate::coverage`],
-//! which reuses this module's [`Workspace`]) work on a whole-workspace
-//! call graph built the same way as [`crate::locks`]: every function is
-//! found by the item scan, every call site is resolved by name and arity
-//! (same-file candidates shadow same-crate, which shadow the rest of
-//! the workspace), and facts are propagated across the resolved edges to
-//! a fixed point.
+//! Both rules read the call graph of [`crate::workspace`], where every
+//! site is a call (an acquiring `.lock()` included), and propagate
+//! their facts over its resolved edges to a fixed point.
 //!
 //! # `float-order`
 //!
@@ -45,12 +41,9 @@
 //! price cache's dynamic oracle checks one execution at a time; the
 //! rule checks every call path at once.
 
-use crate::lexer::{lex, Token, TokenKind};
-use crate::locks::{count_args, scan_functions, NON_CALLS, STD_METHODS};
-use crate::rules::{
-    hash_typed_names, item_end_from, matching, test_region_mask, Annotations, Diagnostic, Rule,
-};
-use std::collections::BTreeMap;
+use crate::lexer::{Token, TokenKind};
+use crate::rules::{hash_typed_names, matching, Diagnostic, Rule};
+use crate::workspace::{SourceFile, Workspace};
 
 /// Integer types whose appearance in a reduction turbofish proves the
 /// reduction is not about floats.
@@ -58,266 +51,26 @@ const INT_TYPES: &[&str] = &[
     "u8", "i8", "u16", "i16", "u32", "i32", "u64", "i64", "u128", "i128", "usize", "isize",
 ];
 
-/// One file of the workspace, lexed and annotated.
-pub(crate) struct FileCtx<'a> {
-    pub(crate) rel: &'a str,
-    pub(crate) flow: bool,
-    pub(crate) code: Vec<&'a Token>,
-    pub(crate) mask: Vec<bool>,
-    pub(crate) ann: Annotations,
-    /// Token ranges `(open paren, close paren)` of `run_indexed(..)` /
-    /// `spawn(..)` argument lists: code that runs on worker threads.
-    pub(crate) par_ranges: Vec<(usize, usize)>,
-}
-
-/// A call site inside a function body.
-pub(crate) struct Call {
-    pub(crate) callee: String,
-    pub(crate) arity: usize,
-    pub(crate) method_form: bool,
-    /// Token index of the callee identifier.
-    pub(crate) tok: usize,
-}
-
-/// One function definition with its outgoing calls.
-pub(crate) struct FnInfo {
-    pub(crate) name: String,
-    /// Index into [`Workspace::files`].
-    pub(crate) file: usize,
-    pub(crate) krate: String,
-    pub(crate) arity: usize,
-    pub(crate) has_self: bool,
-    pub(crate) returns_f64: bool,
-    /// Token range of the body: `(open_brace, close_brace)`.
-    pub(crate) body: (usize, usize),
-    pub(crate) calls: Vec<Call>,
-}
-
-/// The lexed workspace with its resolved call graph.
-pub(crate) struct Workspace<'a> {
-    pub(crate) files: Vec<FileCtx<'a>>,
-    pub(crate) fns: Vec<FnInfo>,
-    /// Per function, per call site: the resolved target indices.
-    pub(crate) resolved: Vec<Vec<Vec<usize>>>,
-}
-
-impl<'a> Workspace<'a> {
-    /// Builds the call graph over `files` (workspace-relative path,
-    /// source) with `lexed` being the token stream of each file.
-    pub(crate) fn build(files: &'a [(String, String)], lexed: &'a [Vec<Token>]) -> Workspace<'a> {
-        let mut ctxs = Vec::with_capacity(files.len());
-        let mut fns = Vec::new();
-        for (fi, ((rel, _), tokens)) in files.iter().zip(lexed).enumerate() {
-            let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
-            let mask = test_region_mask(&code);
-            let ann = Annotations::parse(tokens);
-            let par_ranges = parallel_ranges(&code);
-            for sig in scan_functions(&code, &mask) {
-                fns.push(FnInfo {
-                    name: sig.name,
-                    file: fi,
-                    krate: crate_of(rel),
-                    arity: sig.arity,
-                    has_self: sig.has_self,
-                    returns_f64: sig.returns_f64,
-                    body: sig.body,
-                    calls: collect_calls(&code, sig.body),
-                });
-            }
-            ctxs.push(FileCtx {
-                rel,
-                flow: crate::engine::scope_of(rel).flow,
-                code,
-                mask,
-                ann,
-                par_ranges,
-            });
-        }
-
-        let by_name: BTreeMap<&str, Vec<usize>> = {
-            let mut m: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-            for (i, f) in fns.iter().enumerate() {
-                m.entry(f.name.as_str()).or_default().push(i);
-            }
-            m
-        };
-        let resolved = fns
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                f.calls
-                    .iter()
-                    .map(|c| resolve_call(&fns, &by_name, i, f, c))
-                    .collect()
-            })
-            .collect();
-        Workspace {
-            files: ctxs,
-            fns,
-            resolved,
-        }
-    }
-
-    /// Index of the innermost function of `file` whose body contains
-    /// token `tok`.
-    pub(crate) fn enclosing_fn(&self, file: usize, tok: usize) -> Option<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.file == file && f.body.0 < tok && tok < f.body.1)
-            .max_by_key(|(_, f)| f.body.0)
-            .map(|(i, _)| i)
-    }
-
-    /// Marks every function reachable from a `run_indexed`/`spawn`
-    /// argument list: those run on worker threads.
-    pub(crate) fn parallel_reachable(&self) -> Vec<bool> {
-        let mut reach = vec![false; self.fns.len()];
-        let mut queue = Vec::new();
-        for (i, f) in self.fns.iter().enumerate() {
-            let ranges = &self.files[f.file].par_ranges;
-            for (c, targets) in f.calls.iter().zip(&self.resolved[i]) {
-                if ranges.iter().any(|&(o, cl)| o < c.tok && c.tok < cl) {
-                    for &t in targets {
-                        if !reach[t] {
-                            reach[t] = true;
-                            queue.push(t);
-                        }
-                    }
-                }
-            }
-        }
-        while let Some(i) = queue.pop() {
-            for targets in &self.resolved[i] {
-                for &t in targets {
-                    if !reach[t] {
-                        reach[t] = true;
-                        queue.push(t);
-                    }
-                }
-            }
-        }
-        reach
-    }
-}
-
-/// `crates/serve/src/x.rs` → `crates/serve`.
-fn crate_of(file: &str) -> String {
-    file.split('/').take(2).collect::<Vec<_>>().join("/")
-}
-
-/// Token ranges of `run_indexed(..)` / `spawn(..)` argument lists.
-fn parallel_ranges(code: &[&Token]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for i in 0..code.len() {
-        if (code[i].is_ident("run_indexed") || code[i].is_ident("spawn"))
-            && code.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
-            if let Some(c) = matching(code, i + 1, '(', ')') {
-                out.push((i + 1, c));
-            }
-        }
-    }
-    out
-}
-
-/// Call sites in a body, skipping nested `fn` items (they are scanned as
-/// their own functions).
-fn collect_calls(code: &[&Token], body: (usize, usize)) -> Vec<Call> {
-    let (open, close) = body;
-    let mut out = Vec::new();
-    let mut i = open + 1;
-    while i < close {
-        let t = code[i];
-        if t.is_ident("fn") && code.get(i + 1).is_some_and(|n| n.kind == TokenKind::Ident) {
-            i = item_end_from(code, i);
-            continue;
-        }
-        if t.kind == TokenKind::Ident && code.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            let prev_dot = i > 0 && code[i - 1].is_punct('.');
-            let std_method = prev_dot && STD_METHODS.contains(&t.text.as_str());
-            if !NON_CALLS.contains(&t.text.as_str()) && !std_method {
-                let close_p = matching(code, i + 1, '(', ')').unwrap_or(i + 1);
-                out.push(Call {
-                    callee: t.text.clone(),
-                    arity: count_args(code, i + 1, close_p),
-                    method_form: prev_dot,
-                    tok: i,
-                });
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Same resolution policy as [`crate::locks`]: name + arity (with the
-/// `Type::method(recv, ..)` self adjustment), same-file over same-crate
-/// over workspace, never the caller itself.
-fn resolve_call(
-    fns: &[FnInfo],
-    by_name: &BTreeMap<&str, Vec<usize>>,
-    caller: usize,
-    f: &FnInfo,
-    c: &Call,
-) -> Vec<usize> {
-    let Some(cands) = by_name.get(c.callee.as_str()) else {
-        return Vec::new();
-    };
-    let arity_ok =
-        |t: &FnInfo| t.arity == c.arity || (!c.method_form && t.has_self && t.arity + 1 == c.arity);
-    let matches: Vec<usize> = cands
-        .iter()
-        .copied()
-        .filter(|&t| arity_ok(&fns[t]))
-        .collect();
-    let pick = |pred: &dyn Fn(&FnInfo) -> bool| -> Vec<usize> {
-        matches.iter().copied().filter(|&t| pred(&fns[t])).collect()
-    };
-    let scoped = {
-        let same_file = pick(&|t| t.file == f.file);
-        if same_file.is_empty() {
-            let same_crate = pick(&|t| t.krate == f.krate);
-            if same_crate.is_empty() {
-                matches
-            } else {
-                same_crate
-            }
-        } else {
-            same_file
-        }
-    };
-    scoped.into_iter().filter(|&t| t != caller).collect()
-}
-
-/// Runs the `float-order` and `epoch-protocol` rules over `files`
-/// (workspace-relative path, source text), returning the unsuppressed
-/// diagnostics sorted by file and line.
-#[must_use]
-pub fn analyze(files: &[(String, String)]) -> Vec<Diagnostic> {
-    let lexed: Vec<Vec<Token>> = files.iter().map(|(_, src)| lex(src)).collect();
-    let ws = Workspace::build(files, &lexed);
-    let mut out = Vec::new();
-    check_float_order(&ws, &mut out);
-    check_epoch_protocol(&ws, &mut out);
-    out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
-    out
+/// Runs the `float-order` and `epoch-protocol` rules over `ws`.
+pub(crate) fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    check_float_order(ws, out);
+    check_epoch_protocol(ws, out);
 }
 
 // ---------------------------------------------------------------------
 // float-order
 // ---------------------------------------------------------------------
 
-fn check_float_order(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
-    let parallel = ws.parallel_reachable();
+fn check_float_order(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    let parallel = parallel_reachable(ws);
     for (fi, fc) in ws.files.iter().enumerate() {
-        if !fc.flow {
+        if !fc.scope.flow {
             continue;
         }
         let hash_names = hash_typed_names(&fc.code);
         let code = &fc.code;
         for i in 1..code.len() {
-            if fc.mask[i] {
+            if fc.test[i] {
                 continue;
             }
             check_reduction_site(ws, &parallel, fi, &hash_names, i, out);
@@ -326,10 +79,24 @@ fn check_float_order(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// Marks every function reachable from a `run_indexed`/`spawn` argument
+/// list: those run on worker threads.
+fn parallel_reachable(ws: &Workspace) -> Vec<bool> {
+    let mut reach = vec![false; ws.fns.len()];
+    ws.fixpoint(|i, s, t| {
+        let f = &ws.fns[i];
+        let hit = reach[i] || ws.files[f.file].in_parallel(f.sites[s].tok);
+        let changed = hit && !reach[t];
+        reach[t] |= hit;
+        changed
+    });
+    reach
+}
+
 /// A `.sum()` / `.product()` / `.fold(..)` with f64 evidence whose
 /// source is hash-ordered or parallel-reachable.
 fn check_reduction_site(
-    ws: &Workspace<'_>,
+    ws: &Workspace,
     parallel: &[bool],
     fi: usize,
     hash_names: &[String],
@@ -338,7 +105,7 @@ fn check_reduction_site(
 ) {
     let fc = &ws.files[fi];
     let code = &fc.code;
-    let t = code[i];
+    let t = &code[i];
     if !(t.kind == TokenKind::Ident && matches!(t.text.as_str(), "sum" | "product" | "fold")) {
         return;
     }
@@ -396,7 +163,7 @@ fn check_reduction_site(
     let hash_src = code[stmt_start..i]
         .iter()
         .find(|t| t.kind == TokenKind::Ident && hash_names.contains(&t.text));
-    let in_par_range = fc.par_ranges.iter().any(|&(o, c)| o < i && i < c);
+    let in_par_range = fc.in_parallel(i);
     let par_reach = enclosing.is_some_and(|e| parallel[e]);
 
     let why = if let Some(h) = hash_src {
@@ -412,27 +179,23 @@ fn check_reduction_site(
     } else {
         return;
     };
-    let line = t.line;
-    if fc.ann.allowed(Rule::FloatOrder, line) {
-        return;
-    }
-    out.push(Diagnostic {
-        rule: Rule::FloatOrder,
-        file: fc.rel.to_string(),
-        line,
-        message: format!(
+    fc.emit(
+        out,
+        Rule::FloatOrder,
+        t.line,
+        format!(
             "order-sensitive f64 reduction `.{}(..)` {why}; f64 addition \
              does not commute bitwise — route the terms through \
              `crp_geom::sum_ordered` over a fixed-order source (BTree, \
              sorted, or indexed), or annotate why the order is pinned",
             t.text
         ),
-    });
+    );
 }
 
 /// `+=`/`-=` into a shared place (`*deref` or `.lock()`ed) textually
 /// inside a parallel argument list.
-fn check_shared_accumulation(fc: &FileCtx<'_>, i: usize, out: &mut Vec<Diagnostic>) {
+fn check_shared_accumulation(fc: &SourceFile, i: usize, out: &mut Vec<Diagnostic>) {
     let code = &fc.code;
     if !(code[i].is_punct('=')
         && (code[i - 1].is_punct('+') || code[i - 1].is_punct('-'))
@@ -442,7 +205,7 @@ fn check_shared_accumulation(fc: &FileCtx<'_>, i: usize, out: &mut Vec<Diagnosti
     {
         return;
     }
-    if !fc.par_ranges.iter().any(|&(o, c)| o < i && i < c) {
+    if !fc.in_parallel(i) {
         return;
     }
     let stmt_start = statement_start(code, i - 1);
@@ -454,15 +217,11 @@ fn check_shared_accumulation(fc: &FileCtx<'_>, i: usize, out: &mut Vec<Diagnosti
     if !shared {
         return;
     }
-    let line = code[i].line;
-    if fc.ann.allowed(Rule::FloatOrder, line) {
-        return;
-    }
-    out.push(Diagnostic {
-        rule: Rule::FloatOrder,
-        file: fc.rel.to_string(),
-        line,
-        message: format!(
+    fc.emit(
+        out,
+        Rule::FloatOrder,
+        code[i].line,
+        format!(
             "`{}=` into a shared accumulator inside a `run_indexed`/`spawn` \
              callback: cross-worker accumulation order is \
              scheduler-dependent — collect per-worker results and merge \
@@ -470,15 +229,15 @@ fn check_shared_accumulation(fc: &FileCtx<'_>, i: usize, out: &mut Vec<Diagnosti
              result",
             code[i - 1].text
         ),
-    });
+    );
 }
 
 /// Token index where the statement containing `i` starts (just past the
 /// previous `;`, `{`, or `}`).
-fn statement_start(code: &[&Token], i: usize) -> usize {
+fn statement_start(code: &[Token], i: usize) -> usize {
     let mut j = i;
     while j > 0 {
-        let t = code[j - 1];
+        let t = &code[j - 1];
         if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
             break;
         }
@@ -491,7 +250,7 @@ fn statement_start(code: &[&Token], i: usize) -> usize {
 // epoch-protocol
 // ---------------------------------------------------------------------
 
-fn check_epoch_protocol(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
+fn check_epoch_protocol(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     // Directives are global: declared next to the field, enforced on
     // every flow file.
     let directives: Vec<(String, String)> = {
@@ -508,12 +267,12 @@ fn check_epoch_protocol(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
     for (field, validator) in &directives {
         let protected = protected_fns(ws, validator);
         for (fi, fc) in ws.files.iter().enumerate() {
-            if !fc.flow {
+            if !fc.scope.flow {
                 continue;
             }
             let code = &fc.code;
             for i in 1..code.len() {
-                if fc.mask[i] || !code[i].is_ident(field) || !code[i - 1].is_punct('.') {
+                if fc.test[i] || !code[i].is_ident(field) || !code[i - 1].is_punct('.') {
                     continue;
                 }
                 // `.field(` is a method call; `.field = v` a plain write
@@ -530,22 +289,18 @@ fn check_epoch_protocol(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
                 if ok {
                     continue;
                 }
-                let line = code[i].line;
-                if fc.ann.allowed(Rule::EpochProtocol, line) {
-                    continue;
-                }
-                out.push(Diagnostic {
-                    rule: Rule::EpochProtocol,
-                    file: fc.rel.to_string(),
-                    line,
-                    message: format!(
+                fc.emit(
+                    out,
+                    Rule::EpochProtocol,
+                    code[i].line,
+                    format!(
                         "read of epoch-protected field `.{field}` without a \
                          `{validator}(..)` validation in this function or in \
                          every caller; a stale entry can survive a region \
                          mutation — validate the epoch first, or annotate \
                          why staleness is impossible here"
                     ),
-                });
+                );
             }
         }
     }
@@ -553,7 +308,7 @@ fn check_epoch_protocol(ws: &Workspace<'_>, out: &mut Vec<Diagnostic>) {
 
 /// Functions protected for `validator`: they call it directly, or every
 /// resolved caller is protected (and there is at least one).
-fn protected_fns(ws: &Workspace<'_>, validator: &str) -> Vec<bool> {
+fn protected_fns(ws: &Workspace, validator: &str) -> Vec<bool> {
     let mut prot: Vec<bool> = ws
         .fns
         .iter()
@@ -565,27 +320,18 @@ fn protected_fns(ws: &Workspace<'_>, validator: &str) -> Vec<bool> {
         })
         .collect();
     let mut callers: Vec<Vec<usize>> = vec![Vec::new(); ws.fns.len()];
-    for (i, targets_per_call) in ws.resolved.iter().enumerate() {
-        for targets in targets_per_call {
-            for &t in targets {
-                if !callers[t].contains(&i) {
-                    callers[t].push(i);
-                }
+    for (i, f) in ws.fns.iter().enumerate() {
+        for &t in f.sites.iter().flat_map(|s| &s.targets) {
+            if !callers[t].contains(&i) {
+                callers[t].push(i);
             }
         }
     }
-    loop {
-        let mut changed = false;
-        for i in 0..prot.len() {
-            if !prot[i] && !callers[i].is_empty() && callers[i].iter().all(|&c| prot[c]) {
-                prot[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    ws.fixpoint(|_, _, t| {
+        let now = !prot[t] && callers[t].iter().all(|&c| prot[c]);
+        prot[t] |= now;
+        now
+    });
     prot
 }
 
@@ -594,7 +340,10 @@ mod tests {
     use super::*;
 
     fn run(src: &str) -> Vec<Diagnostic> {
-        analyze(&[("crates/core/src/t.rs".to_string(), src.to_string())])
+        let sources = [("crates/core/src/t.rs".to_string(), src.to_string())];
+        let mut out = Vec::new();
+        check(&Workspace::build(&sources), &mut out);
+        out
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Workspace walking and per-file rule scoping.
+//! Workspace walking, per-file rule scoping, and the one entry point
+//! that runs every rule.
 //!
 //! The driver scans every `.rs` file under `crates/` (the workspace's
 //! own code; the `vendor/` tree holds offline stand-ins for external
@@ -6,8 +7,8 @@
 //! examples, and lint fixtures are skipped — the panic and determinism
 //! rules exist for the *flow*, and test code panics by design.
 
-use crate::locks::analyze_sources;
-use crate::rules::{lint_file, Diagnostic, FileScope};
+use crate::rules::{check_file, Diagnostic, FileScope};
+use crate::workspace::Workspace;
 use std::path::{Path, PathBuf};
 
 /// Path prefixes (relative to the workspace root) holding flow code:
@@ -44,7 +45,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, std::io::Error> {
     collect_rs_files(&root.join("crates"), &mut files)?;
     files.sort();
 
-    let mut out = Vec::new();
     let mut sources = Vec::new();
     for path in files {
         let src = std::fs::read_to_string(&path)?;
@@ -53,16 +53,26 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, std::io::Error> {
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        out.extend(lint_file(&rel, &src, scope_of(&rel)));
         sources.push((rel, src));
     }
-    // The lock, dataflow, and coverage rules are interprocedural: each
-    // is one pass over all sources.
-    out.extend(analyze_sources(&sources));
-    out.extend(crate::dataflow::analyze(&sources));
-    out.extend(crate::coverage::analyze(&sources));
+    Ok(lint_sources(&sources))
+}
+
+/// Runs every rule over `sources`, given as `(workspace-relative path,
+/// source text)` pairs scoped by [`scope_of`], and returns the
+/// unsuppressed findings sorted by file then line.
+#[must_use]
+pub fn lint_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
+    let ws = Workspace::build(sources);
+    let mut out = Vec::new();
+    for file in &ws.files {
+        check_file(file, &mut out);
+    }
+    crate::locks::check(&ws, &mut out);
+    crate::dataflow::check(&ws, &mut out);
+    crate::coverage::check(&ws, &mut out);
     out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
-    Ok(out)
+    out
 }
 
 /// The rule scope of a workspace-relative path.

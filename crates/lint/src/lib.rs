@@ -9,17 +9,22 @@
 //! (see [`rules::Rule`]) run over a hand-rolled lexer (the vendor tree
 //! is offline; there is no `syn` to lean on), with inline
 //! `// crp-lint: allow(<rule>, <reason>)` suppressions so that every
-//! exception is explained where it lives. Five rules are per-file token
-//! patterns; the rest are interprocedural passes over a workspace-wide
-//! call graph: the two lock rules in [`locks`] extract per-function
-//! lock-acquisition sequences, propagate them across calls, and report
-//! lock-order cycles (`lock-order`) and blocking operations under a
-//! live guard (`held-lock-blocking`); the dataflow tier in [`dataflow`]
-//! flags order-sensitive `f64` reductions over hash-ordered or parallel
-//! sources (`float-order`) and unvalidated reads of epoch-protected
-//! cache fields (`epoch-protocol`); and [`coverage`] checks that
-//! checkpoint codecs mention every field of the structs they serialize
-//! (`state-coverage`).
+//! exception is explained where it lives.
+//!
+//! [`lint_sources`] builds one [`workspace`] model per run and runs all
+//! ten rules over it. Each file is lexed once; one item scan fills one
+//! function table; and one resolver turns each function's call sites
+//! into one call graph, every site tagged with what it is (a call, a
+//! lock acquisition, a blocking operation, a `spawn`/`run_indexed`
+//! argument list). Five rules are per-file token patterns in [`rules`].
+//! The rest propagate facts over the call graph with one fixpoint: the
+//! two lock rules in [`locks`] walk guard scopes and report lock-order
+//! cycles (`lock-order`) and blocking operations under a live guard
+//! (`held-lock-blocking`); [`dataflow`] flags order-sensitive `f64`
+//! reductions over hash-ordered or parallel sources (`float-order`) and
+//! unvalidated reads of epoch-protected cache fields (`epoch-protocol`);
+//! and [`coverage`] checks that checkpoint codecs mention every field of
+//! the structs they serialize (`state-coverage`).
 //!
 //! Alongside the lexical pass, [`race`] is a bounded-interleaving
 //! checker (a miniature `loom`); [`models`] are its models of the
@@ -45,7 +50,7 @@ pub mod models;
 pub mod models_serve;
 pub mod race;
 pub mod rules;
+pub mod workspace;
 
-pub use engine::{lint_workspace, scope_of, FLOW_PATHS};
-pub use locks::analyze_sources;
-pub use rules::{lint_file, Diagnostic, FileScope, Rule};
+pub use engine::{lint_sources, lint_workspace, scope_of, FLOW_PATHS};
+pub use rules::{Diagnostic, FileScope, Rule};

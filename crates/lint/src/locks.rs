@@ -1,10 +1,9 @@
 //! Interprocedural lock-order and held-lock-blocking analysis.
 //!
-//! Built on the same dependency-free token stream as the per-file rules
-//! (see [`crate::lexer`]), but global: the pass reads every workspace
-//! source at once, extracts per-function lock-acquisition sequences, and
-//! propagates them across direct calls to build one lock-order graph for
-//! the whole workspace.
+//! A whole-workspace pass over the model of [`crate::workspace`]: it
+//! walks the guard scopes of every function body, propagates each
+//! function's acquisitions across the resolved calls, and builds one
+//! lock-order graph for the whole workspace.
 //!
 //! Two rules come out of it:
 //!
@@ -27,7 +26,7 @@
 //! computed receiver like `self.shard_of(&key).lock()` the method name
 //! `shard_of` is used). Locks accessed from other files go through
 //! guard-returning helper functions (`lock_state`, `lock_inbox`, ...),
-//! which pass 1 discovers by their `MutexGuard`/`RwLock*Guard` return
+//! which the model discovers by their `MutexGuard`/`RwLock*Guard` return
 //! types and maps to the lock their body takes — so the identity stays
 //! anchored to the defining file.
 //!
@@ -38,153 +37,24 @@
 //! binds a *derived value*, not the guard, and is treated as
 //! statement-scoped.
 //!
-//! Calls are resolved by name and arity (`self` excluded on both sides),
-//! preferring same-file over same-crate over workspace-wide candidates,
-//! and excluding the enclosing function itself. Method calls whose names
-//! collide with ubiquitous std methods (`clear`, `get`, `push`, ...) are
-//! not resolved — the lexer cannot see receiver types, and resolving
-//! them drowns the graph in false edges; a lock-acquiring workspace
-//! method should simply not shadow a std collection name. Closure bodies
-//! are analyzed as part of their enclosing function, except arguments to
-//! `spawn(..)`, which run on a *different* thread and are analyzed as
-//! independent roots with an empty held-set. Calls through function
-//! pointers / `dyn Fn` parameters are invisible to the pass.
+//! Calls follow the model's resolution. Closure bodies are analyzed as
+//! part of their enclosing function, except arguments to `spawn(..)`,
+//! which run on a *different* thread and are analyzed as independent
+//! roots with an empty held-set. Their sites still belong to the
+//! enclosing function, so, like a self-call, a call from such a closure
+//! back to that function is not followed. The arguments of a
+//! guard-returning helper call are not walked.
 
-use crate::lexer::{lex, Token, TokenKind};
-use crate::rules::{item_end_from, matching, test_region_mask, Annotations, Diagnostic, Rule};
+use crate::lexer::{Token, TokenKind};
+use crate::rules::{item_end_from, matching, Diagnostic, Rule};
+use crate::workspace::{Function, SiteKind, SourceFile, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Guard types whose appearance in a return type marks a lock helper.
-const GUARD_TYPES: &[&str] = &["MutexGuard", "RwLockReadGuard", "RwLockWriteGuard"];
 
 /// Adapter methods that may sit between `.lock()` and the guard binding
 /// without changing what the binding holds.
 const GUARD_ADAPTERS: &[&str] = &["unwrap", "expect", "unwrap_or_else", "unwrap_or"];
 
-/// Keywords and std constructors that look like calls but are not
-/// workspace functions.
-pub(crate) const NON_CALLS: &[&str] = &[
-    "if", "while", "for", "match", "loop", "return", "in", "as", "move", "else", "unsafe", "ref",
-    "break", "continue", "where", "impl", "dyn", "fn", "Some", "Ok", "Err", "None", "Box", "Vec",
-];
-
-/// Method names that collide with ubiquitous std methods: never resolved
-/// to workspace functions (see module docs).
-pub(crate) const STD_METHODS: &[&str] = &[
-    "abs",
-    "all",
-    "and_then",
-    "any",
-    "append",
-    "as_bytes",
-    "as_deref",
-    "as_mut",
-    "as_ref",
-    "as_str",
-    "binary_search",
-    "chain",
-    "chars",
-    "clamp",
-    "clear",
-    "clone",
-    "cloned",
-    "collect",
-    "contains",
-    "contains_key",
-    "copied",
-    "count",
-    "dedup",
-    "drain",
-    "ends_with",
-    "entry",
-    "enumerate",
-    "expect",
-    "extend",
-    "fetch_add",
-    "fetch_sub",
-    "filter",
-    "filter_map",
-    "find",
-    "flat_map",
-    "flatten",
-    "fold",
-    "get",
-    "get_mut",
-    "get_or_insert_with",
-    "insert",
-    "into_iter",
-    "is_empty",
-    "is_some",
-    "is_none",
-    "iter",
-    "iter_mut",
-    "keys",
-    "last",
-    "len",
-    "load",
-    "map",
-    "map_err",
-    "map_or",
-    "map_or_else",
-    "max",
-    "max_by_key",
-    "min",
-    "min_by_key",
-    "next",
-    "notify_all",
-    "notify_one",
-    "ok",
-    "ok_or",
-    "ok_or_else",
-    "or_default",
-    "or_else",
-    "or_insert",
-    "parse",
-    "pop",
-    "pop_front",
-    "position",
-    "push",
-    "push_back",
-    "push_front",
-    "push_str",
-    "remove",
-    "replace",
-    "reserve",
-    "resize",
-    "retain",
-    "rev",
-    "skip",
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "sort_unstable",
-    "splice",
-    "split",
-    "split_once",
-    "split_whitespace",
-    "starts_with",
-    "store",
-    "sum",
-    "swap",
-    "take",
-    "then",
-    "to_owned",
-    "to_string",
-    "to_vec",
-    "trim",
-    "truncate",
-    "unwrap",
-    "unwrap_or",
-    "unwrap_or_default",
-    "unwrap_or_else",
-    "values",
-    "values_mut",
-    "windows",
-    "zip",
-];
-
 /// One acquisition while other guards were (possibly) held.
-#[derive(Debug, Clone)]
 struct AcqEvent {
     lock: String,
     line: u32,
@@ -192,54 +62,39 @@ struct AcqEvent {
 }
 
 /// A lock live at some program point, with its acquisition line.
-#[derive(Debug, Clone)]
 struct HeldLock {
     lock: String,
     line: u32,
 }
 
 /// A blocking operation and the guards live across it.
-#[derive(Debug, Clone)]
 struct BlockEvent {
     op: String,
     line: u32,
     held: Vec<HeldLock>,
 }
 
-/// A call site, with the guards live at the call.
-#[derive(Debug, Clone)]
-struct CallSite {
-    callee: String,
-    arity: usize,
-    method_form: bool,
-    line: u32,
-    held: Vec<HeldLock>,
-}
-
-/// Everything the body walk extracts from one function (or one
-/// `spawn(..)` closure, analyzed as an independent root).
-#[derive(Debug, Clone, Default)]
-struct FnBody {
+/// What the guard-scope walk sees in one root.
+#[derive(Default)]
+struct Scopes {
     acquires: Vec<AcqEvent>,
     blocks: Vec<BlockEvent>,
-    calls: Vec<CallSite>,
+    /// Call sites, as indices into the function's sites, with the guards
+    /// live at each.
+    calls: Vec<(usize, Vec<HeldLock>)>,
 }
 
-/// One analyzed function.
-#[derive(Debug, Clone)]
-struct FnDef {
+/// One walked root: a function body, or a `spawn(..)` closure in one.
+struct Root {
+    /// The function whose body holds the root.
+    func: usize,
+    /// The function's name; for a closure,
+    /// `<fn>::<spawn closure at line N>`.
     name: String,
-    file: String,
-    krate: String,
-    /// Parameter count excluding any `self` receiver.
-    arity: usize,
-    has_self: bool,
-    /// `usize::MAX` for `spawn` closures: never a call target.
-    body: FnBody,
+    scopes: Scopes,
 }
 
 /// A guard live during the body walk.
-#[derive(Debug)]
 struct Guard {
     lock: String,
     binding: Option<String>,
@@ -250,208 +105,135 @@ struct Guard {
     line: u32,
 }
 
-/// A function signature found by the item scan, pre-walk.
-pub(crate) struct SigInfo {
-    pub(crate) name: String,
-    pub(crate) arity: usize,
-    pub(crate) has_self: bool,
-    pub(crate) returns_guard: bool,
-    /// Whether `f64` appears in the return-type tokens.
-    pub(crate) returns_f64: bool,
-    /// Token range of the body: `(open_brace, close_brace)`.
-    pub(crate) body: (usize, usize),
-}
-
-/// Runs the lock-order and held-lock-blocking rules over a set of
-/// sources given as `(workspace-relative path, source text)` pairs.
-/// Returns the unsuppressed diagnostics, sorted by file and line.
-#[must_use]
-pub fn analyze_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
-    // Lex everything once; keep per-file annotations for suppression.
-    let lexed: Vec<Vec<Token>> = files.iter().map(|(_, src)| lex(src)).collect();
-    let anns: BTreeMap<&str, Annotations> = files
-        .iter()
-        .zip(&lexed)
-        .map(|((file, _), tokens)| (file.as_str(), Annotations::parse(tokens)))
-        .collect();
-
-    let mut sigs_per_file: Vec<Vec<SigInfo>> = Vec::new();
-    let mut codes: Vec<Vec<&Token>> = Vec::new();
-    for tokens in &lexed {
-        let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
-        let mask = test_region_mask(&code);
-        sigs_per_file.push(scan_functions(&code, &mask));
-        codes.push(code);
-    }
-
-    // Pass 1: guard-returning helpers, mapped to the lock they take.
-    let mut helpers: BTreeMap<String, Vec<(String, usize, String)>> = BTreeMap::new();
-    for ((file, _), (code, sigs)) in files.iter().zip(codes.iter().zip(&sigs_per_file)) {
-        for sig in sigs.iter().filter(|s| s.returns_guard) {
-            if let Some(lock) = first_direct_lock(code, sig.body, file) {
-                helpers
-                    .entry(sig.name.clone())
-                    .or_default()
-                    .push((file.clone(), sig.arity, lock));
-            }
-        }
-    }
-
-    // Pass 2: walk every body, collecting acquisitions / blocks / calls.
-    let mut defs: Vec<FnDef> = Vec::new();
-    for ((file, _), (code, sigs)) in files.iter().zip(codes.iter().zip(&sigs_per_file)) {
-        for sig in sigs {
-            let mut spawns = Vec::new();
-            let body = walk_body(code, sig.body, file, &helpers, &mut spawns);
-            defs.push(FnDef {
-                name: sig.name.clone(),
-                file: file.clone(),
-                krate: crate_of(file),
-                arity: sig.arity,
-                has_self: sig.has_self,
-                body,
+/// Runs the lock-order and held-lock-blocking rules over `ws`.
+pub(crate) fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    // Every function, then the spawn closures inside it: spawned code
+    // runs on its own thread, so it is a root that no call reaches.
+    let mut roots: Vec<Root> = Vec::new();
+    let mut own = Vec::with_capacity(ws.fns.len());
+    for (fi, f) in ws.fns.iter().enumerate() {
+        let file = &ws.files[f.file];
+        let mut spawns = Vec::new();
+        own.push(roots.len());
+        roots.push(Root {
+            func: fi,
+            name: f.name.clone(),
+            scopes: walk(file, f, f.body, &mut spawns),
+        });
+        while let Some((range, line)) = spawns.pop() {
+            roots.push(Root {
+                func: fi,
+                name: format!("{}::<spawn closure at line {line}>", f.name),
+                scopes: walk(file, f, range, &mut spawns),
             });
-            // spawn(..) closures run on their own threads: independent
-            // roots, never call targets.
-            while let Some((range, line)) = spawns.pop() {
-                let mut inner = Vec::new();
-                let body = walk_body(code, range, file, &helpers, &mut inner);
-                spawns.extend(inner);
-                defs.push(FnDef {
-                    name: format!("{}::<spawn closure at line {line}>", sig.name),
-                    file: file.clone(),
-                    krate: crate_of(file),
-                    arity: usize::MAX,
-                    has_self: false,
-                    body,
-                });
-            }
         }
     }
 
-    // Resolve call sites and compute the transitive acquire/block sets.
-    let by_name: BTreeMap<&str, Vec<usize>> = {
-        let mut m: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (i, d) in defs.iter().enumerate() {
-            if d.arity != usize::MAX {
-                m.entry(d.name.as_str()).or_default().push(i);
-            }
-        }
-        m
-    };
-    let resolved: Vec<Vec<Vec<usize>>> = defs
+    // The locks each function may acquire, and why it may block,
+    // through every call it makes.
+    let mut acq: Vec<BTreeSet<String>> = own
         .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            d.body
-                .calls
+        .map(|&r| {
+            roots[r]
+                .scopes
+                .acquires
                 .iter()
-                .map(|c| resolve_call(&defs, &by_name, i, d, c))
+                .map(|a| a.lock.clone())
                 .collect()
         })
         .collect();
-
-    let mut acq_star: Vec<BTreeSet<String>> = defs
+    let mut blk: Vec<Option<String>> = ws
+        .fns
         .iter()
-        .map(|d| d.body.acquires.iter().map(|a| a.lock.clone()).collect())
-        .collect();
-    let mut blk_star: Vec<Option<String>> = defs
-        .iter()
-        .map(|d| {
-            d.body
+        .zip(&own)
+        .map(|(f, &r)| {
+            let file = &ws.files[f.file].rel;
+            roots[r]
+                .scopes
                 .blocks
                 .first()
-                .map(|b| format!("{} at {}:{}", b.op, d.file, b.line))
+                .map(|b| format!("{} at {file}:{}", b.op, b.line))
         })
         .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..defs.len() {
-            for (c, targets) in defs[i].body.calls.iter().zip(&resolved[i]) {
-                for &t in targets {
-                    let add: Vec<String> = acq_star[t]
-                        .iter()
-                        .filter(|l| !acq_star[i].contains(*l))
-                        .cloned()
-                        .collect();
-                    if !add.is_empty() {
-                        acq_star[i].extend(add);
-                        changed = true;
-                    }
-                    if blk_star[i].is_none() {
-                        if let Some(why) = &blk_star[t] {
-                            blk_star[i] = Some(format!("call to `{}` may block ({why})", c.callee));
-                            changed = true;
-                        }
-                    }
-                }
+    ws.fixpoint(|i, s, t| {
+        // Only the calls the guard walk saw: not an acquisition, a
+        // blocking operation, spawned code, or a lock helper's arguments.
+        let calls = &roots[own[i]].scopes.calls;
+        if calls.binary_search_by_key(&s, |c| c.0).is_err() {
+            return false;
+        }
+        let add: Vec<String> = acq[t].difference(&acq[i]).cloned().collect();
+        let mut changed = !add.is_empty();
+        acq[i].extend(add);
+        if blk[i].is_none() {
+            if let Some(why) = &blk[t] {
+                let callee = &ws.fns[i].sites[s].callee;
+                blk[i] = Some(format!("call to `{callee}` may block ({why})"));
+                changed = true;
             }
         }
-        if !changed {
-            break;
-        }
-    }
+        changed
+    });
 
     // Build the lock-order graph and the blocking findings.
-    let mut out = Vec::new();
     let mut edges: BTreeMap<LockEdge, EdgeWitness> = BTreeMap::new();
-    let mut add_edge = |from: &HeldLock, to: &str, file: &str, line: u32, note: String| {
+    let mut add_edge = |from: &HeldLock, to: &str, file: usize, line: u32, note: String| {
         edges
             .entry((from.lock.clone(), to.to_string()))
-            .or_insert_with(|| (file.to_string(), line, note));
+            .or_insert_with(|| (file, line, note));
     };
-    for (i, d) in defs.iter().enumerate() {
-        for a in &d.body.acquires {
+    for root in &roots {
+        let f = &ws.fns[root.func];
+        let file = &ws.files[f.file];
+        for a in &root.scopes.acquires {
             for h in &a.held {
                 let note = format!(
                     "`{}` acquires `{}` while holding `{}` (held since line {})",
-                    d.name, a.lock, h.lock, h.line
+                    root.name, a.lock, h.lock, h.line
                 );
-                add_edge(h, &a.lock, &d.file, a.line, note);
+                add_edge(h, &a.lock, f.file, a.line, note);
             }
         }
-        for (c, targets) in d.body.calls.iter().zip(&resolved[i]) {
-            if c.held.is_empty() {
+        for (s, held) in &root.scopes.calls {
+            if held.is_empty() {
                 continue;
             }
-            for &t in targets {
-                for lock in &acq_star[t] {
-                    for h in &c.held {
+            let site = &f.sites[*s];
+            let line = file.code[site.tok].line;
+            for &t in &site.targets {
+                for lock in &acq[t] {
+                    for h in held {
                         let note = format!(
                             "`{}` calls `{}`, which acquires `{}`, while holding `{}` \
                              (held since line {})",
-                            d.name, c.callee, lock, h.lock, h.line
+                            root.name, site.callee, lock, h.lock, h.line
                         );
-                        add_edge(h, lock, &d.file, c.line, note);
+                        add_edge(h, lock, f.file, line, note);
                     }
                 }
-                if let Some(why) = &blk_star[t] {
-                    push_unless_allowed(
-                        &mut out,
-                        &anns,
+                if let Some(why) = &blk[t] {
+                    file.emit(
+                        out,
                         Rule::HeldLockBlocking,
-                        &d.file,
-                        c.line,
+                        line,
                         format!(
                             "call to `{}` may block ({why}) while holding `{}`; \
                              blocking inside a critical section stalls every contender \
                              — move it outside the guard or annotate why it is safe",
-                            c.callee,
-                            held_list(&c.held),
+                            site.callee,
+                            held_list(held),
                         ),
                     );
                 }
             }
         }
-        for b in &d.body.blocks {
+        for b in &root.scopes.blocks {
             if b.held.is_empty() {
                 continue;
             }
-            push_unless_allowed(
-                &mut out,
-                &anns,
+            file.emit(
+                out,
                 Rule::HeldLockBlocking,
-                &d.file,
                 b.line,
                 format!(
                     "{} while holding `{}`; blocking inside a critical section stalls \
@@ -464,14 +246,7 @@ pub fn analyze_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
         }
     }
 
-    report_cycles(&edges, &anns, &mut out);
-    out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
-    out
-}
-
-/// `crates/serve/src/x.rs` → `crates/serve`.
-fn crate_of(file: &str) -> String {
-    file.split('/').take(2).collect::<Vec<_>>().join("/")
+    report_cycles(ws, &edges, out);
 }
 
 fn held_list(held: &[HeldLock]) -> String {
@@ -481,290 +256,40 @@ fn held_list(held: &[HeldLock]) -> String {
         .join("`, `")
 }
 
-fn push_unless_allowed(
-    out: &mut Vec<Diagnostic>,
-    anns: &BTreeMap<&str, Annotations>,
-    rule: Rule,
-    file: &str,
-    line: u32,
-    message: String,
-) {
-    if anns.get(file).is_some_and(|a| a.allowed(rule, line)) {
-        return;
-    }
-    out.push(Diagnostic {
-        rule,
-        file: file.to_string(),
-        line,
-        message,
-    });
-}
-
-// ---------------------------------------------------------------------
-// Item scan
-// ---------------------------------------------------------------------
-
-/// Finds every non-test `fn` with a body, recording its signature.
-pub(crate) fn scan_functions(code: &[&Token], mask: &[bool]) -> Vec<SigInfo> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 1 < code.len() {
-        if !code[i].is_ident("fn") || code[i + 1].kind != TokenKind::Ident || mask[i] {
-            i += 1;
-            continue;
-        }
-        let name = code[i + 1].text.clone();
-        // Skip generics between the name and the parameter list.
-        let mut j = i + 2;
-        if code.get(j).is_some_and(|t| t.is_punct('<')) {
-            let mut depth = 0i32;
-            while j < code.len() {
-                if code[j].is_punct('<') {
-                    depth += 1;
-                } else if code[j].is_punct('>') {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                j += 1;
-            }
-        }
-        if !code.get(j).is_some_and(|t| t.is_punct('(')) {
-            i += 1;
-            continue;
-        }
-        let Some(params_end) = matching(code, j, '(', ')') else {
-            break;
-        };
-        let (arity, has_self) = param_info(&code[j + 1..params_end]);
-        // Return type runs to the body `{` (or `;` for a bodyless trait
-        // method, which we skip).
-        let mut k = params_end + 1;
-        let mut depth = 0i32;
-        let mut returns_guard = false;
-        let mut returns_f64 = false;
-        let mut body_open = None;
-        while k < code.len() {
-            let t = code[k];
-            if t.kind == TokenKind::Ident && GUARD_TYPES.contains(&t.text.as_str()) {
-                returns_guard = true;
-            }
-            if t.is_ident("f64") {
-                returns_f64 = true;
-            }
-            if t.kind == TokenKind::Punct {
-                match t.text.as_bytes().first() {
-                    Some(b'(' | b'[' | b'<') => depth += 1,
-                    Some(b')' | b']' | b'>') => depth -= 1,
-                    Some(b';') if depth <= 0 => break,
-                    Some(b'{') if depth <= 0 => {
-                        body_open = Some(k);
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            k += 1;
-        }
-        let Some(open) = body_open else {
-            i = k + 1;
-            continue;
-        };
-        let close = matching(code, open, '{', '}').unwrap_or(code.len() - 1);
-        out.push(SigInfo {
-            name,
-            arity,
-            has_self,
-            returns_guard,
-            returns_f64,
-            body: (open, close),
-        });
-        // Continue *inside* the body so nested fns are found too; the
-        // body walk skips them when analyzing the outer function.
-        i += 2;
-    }
-    out
-}
-
-/// `(parameter count excluding self, has a self receiver)`.
-fn param_info(params: &[&Token]) -> (usize, bool) {
-    if params.is_empty() {
-        return (0, false);
-    }
-    let mut segments = 1usize;
-    let mut depth = 0i32;
-    for t in params {
-        if t.kind == TokenKind::Punct {
-            match t.text.as_bytes().first() {
-                Some(b'(' | b'[' | b'<') => depth += 1,
-                Some(b')' | b']' | b'>') => depth -= 1,
-                Some(b',') if depth == 0 => segments += 1,
-                _ => {}
-            }
-        }
-    }
-    // A trailing comma creates an empty trailing segment.
-    if params.last().is_some_and(|t| t.is_punct(',')) {
-        segments -= 1;
-    }
-    // `self`, `&self`, `&'a self`, `&mut self`, `mut self`.
-    let has_self = params
+fn held_now(guards: &[Guard]) -> Vec<HeldLock> {
+    guards
         .iter()
-        .take_while(|t| {
-            t.is_punct('&')
-                || t.kind == TokenKind::Lifetime
-                || t.is_ident("mut")
-                || t.is_ident("self")
+        .map(|g| HeldLock {
+            lock: g.lock.clone(),
+            line: g.line,
         })
-        .any(|t| t.is_ident("self"));
-    (segments - usize::from(has_self), has_self)
-}
-
-/// The lock taken by the first argless `.lock()`/`.read()`/`.write()` in
-/// a helper's body, qualified with the helper's file.
-fn first_direct_lock(code: &[&Token], body: (usize, usize), file: &str) -> Option<String> {
-    let (open, close) = body;
-    for i in open + 1..close {
-        let t = code[i];
-        if t.kind == TokenKind::Ident
-            && matches!(t.text.as_str(), "lock" | "read" | "write")
-            && i >= 1
-            && code[i - 1].is_punct('.')
-            && code.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && code.get(i + 2).is_some_and(|n| n.is_punct(')'))
-        {
-            return Some(format!("{file}::{}", receiver_base(code, i - 1)));
-        }
-    }
-    None
-}
-
-/// The last path segment of the receiver ending at the `.` at `dot`:
-/// `self.inner.state.lock()` → `state`; `self.shard_of(&k).lock()` →
-/// `shard_of`.
-fn receiver_base(code: &[&Token], dot: usize) -> String {
-    if dot == 0 {
-        return "<unknown>".to_string();
-    }
-    let prev = code[dot - 1];
-    if prev.kind == TokenKind::Ident {
-        return prev.text.clone();
-    }
-    if prev.is_punct(')') {
-        // Walk back over the call's parens to the method name.
-        let mut depth = 1i32;
-        let mut m = dot - 1;
-        while m > 0 {
-            m -= 1;
-            if code[m].is_punct(')') {
-                depth += 1;
-            } else if code[m].is_punct('(') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-        }
-        if m > 0 && code[m - 1].kind == TokenKind::Ident {
-            return code[m - 1].text.clone();
-        }
-    }
-    format!("<expr at line {}>", code[dot].line)
-}
-
-/// Index of the first token of the receiver chain ending at the `.` at
-/// `dot` (used to look for a `let` binding before it).
-fn receiver_start(code: &[&Token], dot: usize) -> usize {
-    let mut r = dot;
-    loop {
-        if r == 0 {
-            return 0;
-        }
-        let prev = code[r - 1];
-        if prev.is_punct(')') {
-            let mut depth = 1i32;
-            let mut m = r - 1;
-            while m > 0 {
-                m -= 1;
-                if code[m].is_punct(')') {
-                    depth += 1;
-                } else if code[m].is_punct('(') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-            }
-            r = m;
-            continue;
-        }
-        if prev.kind == TokenKind::Ident {
-            r -= 1;
-            continue;
-        }
-        if prev.is_punct('.') && r >= 1 {
-            r -= 1;
-            continue;
-        }
-        if prev.is_punct(':') && r >= 2 && code[r - 2].is_punct(':') {
-            r -= 2;
-            continue;
-        }
-        return r;
-    }
+        .collect()
 }
 
 // ---------------------------------------------------------------------
-// Body walk
+// Guard-scope walk
 // ---------------------------------------------------------------------
 
-/// Blocking methods flagged regardless of argument count.
-const BLOCKING_ANY_ARGS: &[&str] = &[
-    "wait",
-    "wait_timeout",
-    "wait_while",
-    "recv",
-    "recv_timeout",
-    "read_exact",
-    "read_to_end",
-    "read_to_string",
-    "read_line",
-    "write_all",
-    "flush",
-];
-
-/// Blocking methods only when argless (`path.join(sep)` and
-/// `slice.join(..)` are string ops; `stream.read(&mut buf)` is I/O but
-/// argless `.read()` is an RwLock acquisition).
-const BLOCKING_ARGLESS: &[&str] = &["join", "accept"];
-
-#[allow(clippy::too_many_lines)]
-fn walk_body(
-    code: &[&Token],
-    body: (usize, usize),
-    file: &str,
-    helpers: &BTreeMap<String, Vec<(String, usize, String)>>,
+/// Walks the guard scopes of the tokens strictly inside `range`, a body
+/// or a `spawn(..)` argument list of `f`, reading `f`'s sites on the
+/// way. The argument lists of nested `spawn(..)` calls are pushed onto
+/// `spawns` with their line, to be walked as roots of their own.
+fn walk(
+    file: &SourceFile,
+    f: &Function,
+    range: (usize, usize),
     spawns: &mut Vec<((usize, usize), u32)>,
-) -> FnBody {
-    let (open, close) = body;
-    let mut out = FnBody::default();
+) -> Scopes {
+    let code = &file.code;
+    let (open, close) = range;
+    let mut out = Scopes::default();
     let mut guards: Vec<Guard> = Vec::new();
     let mut depth = 0i32;
-    let held = |guards: &[Guard]| -> Vec<HeldLock> {
-        guards
-            .iter()
-            .map(|g| HeldLock {
-                lock: g.lock.clone(),
-                line: g.line,
-            })
-            .collect()
-    };
+    let mut next = f.sites.partition_point(|s| s.tok <= open);
 
     let mut i = open + 1;
     while i < close {
-        let t = code[i];
+        let t = &code[i];
         if t.kind == TokenKind::Punct {
             match t.text.as_bytes().first() {
                 Some(b'{') => depth += 1,
@@ -778,13 +303,9 @@ fn walk_body(
             i += 1;
             continue;
         }
-        if t.kind != TokenKind::Ident {
-            i += 1;
-            continue;
-        }
 
         // drop(guard) ends that guard's region early.
-        if t.text == "drop"
+        if t.is_ident("drop")
             && code.get(i + 1).is_some_and(|n| n.is_punct('('))
             && code.get(i + 2).is_some_and(|n| n.kind == TokenKind::Ident)
             && code.get(i + 3).is_some_and(|n| n.is_punct(')'))
@@ -796,96 +317,47 @@ fn walk_body(
         }
 
         // A nested `fn` item is its own root; skip it here.
-        if t.text == "fn" && code.get(i + 1).is_some_and(|n| n.kind == TokenKind::Ident) {
+        if t.is_ident("fn") && code.get(i + 1).is_some_and(|n| n.kind == TokenKind::Ident) {
             i = item_end_from(code, i);
             continue;
         }
 
-        // spawn(..) arguments run on another thread.
-        if t.text == "spawn" && code.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            if let Some(c) = matching(code, i + 1, '(', ')') {
-                spawns.push(((i + 1, c), t.line));
-                i = c + 1;
-                continue;
-            }
+        while f.sites.get(next).is_some_and(|s| s.tok < i) {
+            next += 1;
         }
-
-        let prev_dot = i > 0 && code[i - 1].is_punct('.');
-        let next_paren = code.get(i + 1).is_some_and(|n| n.is_punct('('));
-        let argless = next_paren && code.get(i + 2).is_some_and(|n| n.is_punct(')'));
-
-        // Acquisition, method form: argless `.lock()`/`.read()`/`.write()`.
-        if prev_dot && argless && matches!(t.text.as_str(), "lock" | "read" | "write") {
-            let lock = format!("{file}::{}", receiver_base(code, i - 1));
-            let start = receiver_start(code, i - 1);
-            record_acquisition(
-                &mut out,
-                &mut guards,
-                &held,
-                code,
-                lock,
-                start,
-                i + 2,
-                depth,
-            );
-            i += 3;
+        let Some(site) = f.sites.get(next).filter(|s| s.tok == i) else {
+            i += 1;
             continue;
-        }
-
-        // Acquisition through a guard-returning helper (bare/path call).
-        if !prev_dot && next_paren {
-            if let Some(cands) = helpers.get(&t.text) {
-                let close_p = matching(code, i + 1, '(', ')').unwrap_or(i + 1);
-                let arity = count_args(code, i + 1, close_p);
-                let pick = cands
-                    .iter()
-                    .find(|(f, a, _)| f == file && *a == arity)
-                    .or_else(|| cands.iter().find(|(_, a, _)| *a == arity));
-                if let Some((_, _, lock)) = pick {
-                    let lock = lock.clone();
-                    record_acquisition(&mut out, &mut guards, &held, code, lock, i, close_p, depth);
-                    i = close_p + 1;
-                    continue;
-                }
-            }
-        }
-
-        // Blocking operations.
-        if next_paren {
-            let name = t.text.as_str();
-            let is_blocking = (prev_dot && BLOCKING_ANY_ARGS.contains(&name))
-                || (prev_dot && argless && BLOCKING_ARGLESS.contains(&name))
-                || (prev_dot && !argless && matches!(name, "read" | "write"))
-                || (!prev_dot && name == "sleep");
-            if is_blocking {
-                let op = if prev_dot {
-                    format!("`.{name}(..)`")
-                } else {
-                    "`sleep(..)`".to_string()
-                };
-                out.blocks.push(BlockEvent {
-                    op,
-                    line: t.line,
-                    held: held(&guards),
-                });
-                i += 1;
+        };
+        match &site.kind {
+            // spawn(..) arguments run on another thread.
+            SiteKind::Parallel { close } if site.callee == "spawn" => {
+                spawns.push(((i + 1, *close), t.line));
+                i = close + 1;
                 continue;
             }
-        }
-
-        // Plain call site, kept for interprocedural propagation.
-        if next_paren
-            && !NON_CALLS.contains(&t.text.as_str())
-            && !(prev_dot && STD_METHODS.contains(&t.text.as_str()))
-        {
-            let close_p = matching(code, i + 1, '(', ')').unwrap_or(i + 1);
-            out.calls.push(CallSite {
-                callee: t.text.clone(),
-                arity: count_args(code, i + 1, close_p),
-                method_form: prev_dot,
+            SiteKind::Acquire { lock, start, end } => {
+                record_acquisition(
+                    &mut out,
+                    &mut guards,
+                    code,
+                    lock.clone(),
+                    *start,
+                    *end,
+                    depth,
+                );
+                i = end + 1;
+                continue;
+            }
+            SiteKind::Block(op) => out.blocks.push(BlockEvent {
+                op: op.clone(),
                 line: t.line,
-                held: held(&guards),
-            });
+                held: held_now(&guards),
+            }),
+            // `run_indexed(..)` joins its workers before it returns.
+            SiteKind::Call | SiteKind::Parallel { .. } => {
+                out.calls.push((next, held_now(&guards)));
+            }
         }
         i += 1;
     }
@@ -894,12 +366,10 @@ fn walk_body(
 
 /// Records an acquisition event and pushes the new guard, classifying
 /// it as block-scoped (a plain `let` binding) or statement-scoped.
-#[allow(clippy::too_many_arguments)]
 fn record_acquisition(
-    out: &mut FnBody,
+    out: &mut Scopes,
     guards: &mut Vec<Guard>,
-    held: &dyn Fn(&[Guard]) -> Vec<HeldLock>,
-    code: &[&Token],
+    code: &[Token],
     lock: String,
     expr_start: usize,
     call_close: usize,
@@ -909,7 +379,7 @@ fn record_acquisition(
     out.acquires.push(AcqEvent {
         lock: lock.clone(),
         line,
-        held: held(guards),
+        held: held_now(guards),
     });
 
     // `let [mut] name = <acquisition>` (or a plain reassignment).
@@ -931,7 +401,7 @@ fn record_acquisition(
     let mut derived = false;
     let mut j = call_close + 1;
     while j < code.len() {
-        let t = code[j];
+        let t = &code[j];
         if t.is_punct('?') {
             j += 1;
             continue;
@@ -958,77 +428,6 @@ fn record_acquisition(
     });
 }
 
-/// Number of top-level comma-separated arguments between `open` and
-/// `close` (exclusive).
-pub(crate) fn count_args(code: &[&Token], open: usize, close: usize) -> usize {
-    if close <= open + 1 {
-        return 0;
-    }
-    let mut depth = 0i32;
-    let mut args = 1usize;
-    for t in &code[open + 1..close] {
-        if t.kind == TokenKind::Punct {
-            match t.text.as_bytes().first() {
-                Some(b'(' | b'[' | b'{') => depth += 1,
-                Some(b')' | b']' | b'}') => depth -= 1,
-                Some(b',') if depth == 0 => args += 1,
-                _ => {}
-            }
-        }
-    }
-    if code[close - 1].is_punct(',') {
-        args -= 1;
-    }
-    args
-}
-
-// ---------------------------------------------------------------------
-// Call resolution
-// ---------------------------------------------------------------------
-
-/// Resolves a call site to candidate definitions: name and arity must
-/// match; same-file candidates shadow same-crate, which shadow the rest
-/// of the workspace; the enclosing function never resolves to itself.
-fn resolve_call(
-    defs: &[FnDef],
-    by_name: &BTreeMap<&str, Vec<usize>>,
-    caller: usize,
-    d: &FnDef,
-    c: &CallSite,
-) -> Vec<usize> {
-    let Some(cands) = by_name.get(c.callee.as_str()) else {
-        return Vec::new();
-    };
-    let arity_ok =
-        |t: &FnDef| t.arity == c.arity || (!c.method_form && t.has_self && t.arity + 1 == c.arity);
-    let matches: Vec<usize> = cands
-        .iter()
-        .copied()
-        .filter(|&t| arity_ok(&defs[t]))
-        .collect();
-    let pick = |pred: &dyn Fn(&FnDef) -> bool| -> Vec<usize> {
-        matches
-            .iter()
-            .copied()
-            .filter(|&t| pred(&defs[t]))
-            .collect()
-    };
-    let scoped = {
-        let same_file = pick(&|t| t.file == d.file);
-        if same_file.is_empty() {
-            let same_crate = pick(&|t| t.krate == d.krate);
-            if same_crate.is_empty() {
-                matches
-            } else {
-                same_crate
-            }
-        } else {
-            same_file
-        }
-    };
-    scoped.into_iter().filter(|&t| t != caller).collect()
-}
-
 // ---------------------------------------------------------------------
 // Cycle detection
 // ---------------------------------------------------------------------
@@ -1037,15 +436,15 @@ fn resolve_call(
 /// some function acquired `to_lock` while `from_lock` was held.
 type LockEdge = (String, String);
 
-/// The first site that witnessed an edge: `(file, line, note)`.
-type EdgeWitness = (String, u32, String);
+/// The first site that witnessed an edge: `(file index, line, note)`.
+type EdgeWitness = (usize, u32, String);
 
 /// Reports every strongly-connected component of the lock graph (and
 /// every self-loop) as one `lock-order` diagnostic carrying the witness
 /// site of each participating edge.
 fn report_cycles(
+    ws: &Workspace,
     edges: &BTreeMap<LockEdge, EdgeWitness>,
-    anns: &BTreeMap<&str, Annotations>,
     out: &mut Vec<Diagnostic>,
 ) {
     let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
@@ -1066,12 +465,15 @@ fn report_cycles(
             .iter()
             .filter(|((f, t), _)| in_scc.contains(f.as_str()) && in_scc.contains(t.as_str()))
             .collect();
-        let Some((_, &(ref file, line, _))) = witnesses.first() else {
+        let Some(&(_, &(file, line, _))) = witnesses.first() else {
             continue;
         };
         let paths = witnesses
             .iter()
-            .map(|((f, t), (wf, wl, note))| format!("`{f}` -> `{t}` at {wf}:{wl} ({note})"))
+            .map(|((f, t), (wf, wl, note))| {
+                let wf = &ws.files[*wf].rel;
+                format!("`{f}` -> `{t}` at {wf}:{wl} ({note})")
+            })
             .collect::<Vec<_>>()
             .join("; ");
         let message = if component.len() == 1 {
@@ -1086,7 +488,7 @@ fn report_cycles(
                     .join(", ")
             )
         };
-        push_unless_allowed(out, anns, Rule::LockOrder, file, line, message);
+        ws.files[file].emit(out, Rule::LockOrder, line, message);
     }
 }
 
@@ -1157,8 +559,18 @@ fn sccs<'a>(adj: &BTreeMap<&'a str, BTreeSet<&'a str>>) -> Vec<Vec<&'a str>> {
 mod tests {
     use super::*;
 
+    fn analyze(files: &[(&str, &str)]) -> Vec<Diagnostic> {
+        let sources: Vec<(String, String)> = files
+            .iter()
+            .map(|(rel, src)| (rel.to_string(), src.to_string()))
+            .collect();
+        let mut out = Vec::new();
+        check(&Workspace::build(&sources), &mut out);
+        out
+    }
+
     fn run(src: &str) -> Vec<Diagnostic> {
-        analyze_sources(&[("t.rs".to_string(), src.to_string())])
+        analyze(&[("t.rs", src)])
     }
 
     #[test]
@@ -1193,6 +605,22 @@ mod tests {
         let d = run(src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("take_b"), "{}", d[0].message);
+    }
+
+    #[test]
+    fn closure_arguments_do_not_hide_calls() {
+        // The comma in `|x, y|` separates closure parameters, not call
+        // arguments: `with_b(s, |x, y| ..)` has two arguments, resolves,
+        // and carries `b` into `fwd`'s held-`a` region.
+        let src = "
+            fn with_b(s: &S, f: impl Fn(u32, u32) -> u32) { let gb = s.b.lock().unwrap(); }
+            fn fwd(s: &S) { let ga = s.a.lock().unwrap(); with_b(s, |x, y| x + y); }
+            fn bwd(s: &S) { let gb = s.b.lock().unwrap(); let ga = s.a.lock().unwrap(); }
+        ";
+        let d = run(src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, Rule::LockOrder);
+        assert!(d[0].message.contains("calls `with_b`"), "{}", d[0].message);
     }
 
     #[test]
@@ -1263,20 +691,18 @@ mod tests {
     fn helper_returning_guard_carries_its_lock_identity() {
         let files = [
             (
-                "h.rs".to_string(),
+                "h.rs",
                 "pub fn lock_state(m: &Mutex<u32>) -> MutexGuard<'_, u32> {
                     m.state.lock().unwrap()
-                }"
-                .to_string(),
+                }",
             ),
             (
-                "u.rs".to_string(),
+                "u.rs",
                 "fn f(s: &S) { let g = lock_state(&s.m); let gb = s.b.lock().unwrap(); }
-                 fn r(s: &S) { let gb = s.b.lock().unwrap(); let g = lock_state(&s.m); }"
-                    .to_string(),
+                 fn r(s: &S) { let gb = s.b.lock().unwrap(); let g = lock_state(&s.m); }",
             ),
         ];
-        let d = analyze_sources(&files);
+        let d = analyze(&files);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("h.rs::state"), "{}", d[0].message);
     }

@@ -28,9 +28,9 @@ use crp_serve::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Total lint rules enforced (see `crp_lint::rules::Rule`;
-/// `bad-suppression` is the meta-rule on top).
-const RULE_COUNT: usize = 10;
+/// Total lint rules enforced: every `Rule` but the `bad-suppression`
+/// meta-rule on top.
+const RULE_COUNT: usize = Rule::ALL.len() - 1;
 
 fn main() -> ExitCode {
     let mut deny = false;

@@ -1,8 +1,9 @@
 //! The `crp-lint` rule engine.
 //!
-//! Rules work on the token stream of one file at a time (see
-//! [`crate::lexer`]); none of them needs an AST. Each rule can be
-//! suppressed per-site with an inline annotation:
+//! The per-file rules here read one file entry of the workspace model
+//! at a time (see [`crate::workspace`]); none of them needs an AST.
+//! Each rule, per-file or interprocedural, can be suppressed per-site
+//! with an inline annotation:
 //!
 //! ```text
 //! // crp-lint: allow(<rule>, <reason>)
@@ -20,7 +21,8 @@
 //! // atomics(<protocol>): <why this ordering is sufficient>
 //! ```
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
+use crate::workspace::SourceFile;
 
 /// The lint rules. See `DESIGN.md` §9 for rationale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,25 +97,18 @@ impl Rule {
         }
     }
 
-    /// Parses an annotation rule name.
+    /// Parses the rule name of an `allow` annotation. `bad-suppression`
+    /// is not a valid target: a malformed annotation cannot excuse itself.
     #[must_use]
     pub fn from_name(s: &str) -> Option<Rule> {
-        match s {
-            "nondet-iter" => Some(Rule::NondetIter),
-            "atomics-justified" => Some(Rule::AtomicsJustified),
-            "no-panic-paths" => Some(Rule::NoPanicPaths),
-            "forbid-unsafe" => Some(Rule::ForbidUnsafe),
-            "cast-truncation" => Some(Rule::CastTruncation),
-            "lock-order" => Some(Rule::LockOrder),
-            "held-lock-blocking" => Some(Rule::HeldLockBlocking),
-            "state-coverage" => Some(Rule::StateCoverage),
-            "float-order" => Some(Rule::FloatOrder),
-            "epoch-protocol" => Some(Rule::EpochProtocol),
-            _ => None,
-        }
+        Rule::ALL
+            .iter()
+            .copied()
+            .find(|&r| r != Rule::BadSuppression && r.name() == s)
     }
 
-    /// Every rule, in report order (also the `--rules` help list).
+    /// Every rule, in report order (also the `--rules` help list); the
+    /// last, `bad-suppression`, is the meta-rule on top of the ten.
     pub const ALL: &'static [Rule] = &[
         Rule::NondetIter,
         Rule::AtomicsJustified,
@@ -134,7 +129,7 @@ impl Rule {
 pub struct Diagnostic {
     /// The rule that fired.
     pub rule: Rule,
-    /// File the finding is in (as given to [`lint_file`]).
+    /// Workspace-relative path of the file the finding is in.
     pub file: String,
     /// 1-based line.
     pub line: u32,
@@ -158,9 +153,8 @@ impl std::fmt::Display for Diagnostic {
 /// How a file participates in the rule set.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileScope {
-    /// Flow code: determinism and panic-freedom rules apply
-    /// (`crates/{core,router,grid,ilp,rsmt}`, which includes the
-    /// legalizer in `crates/core`).
+    /// Flow code: determinism and panic-freedom rules apply (every path
+    /// under [`crate::FLOW_PATHS`]).
     pub flow: bool,
     /// A crate root (`src/lib.rs`): must forbid `unsafe_code`.
     pub crate_root: bool,
@@ -183,36 +177,20 @@ const ITER_METHODS: &[&str] = &[
 /// Integer targets narrower than the workspace's coordinate types.
 const NARROW_INTS: &[&str] = &["u8", "i8", "u16", "i16", "u32", "i32"];
 
-/// Lints one file's source, returning every diagnostic that is not
-/// suppressed by an inline annotation.
-#[must_use]
-pub fn lint_file(file: &str, src: &str, scope: FileScope) -> Vec<Diagnostic> {
-    let tokens = lex(src);
-    let annotations = Annotations::parse(&tokens);
-    // Code tokens only (comments out), with the test-region mask.
-    let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
-    let test_mask = test_region_mask(&code);
-
-    let mut out = Vec::new();
-    for bad in &annotations.malformed {
-        out.push(Diagnostic {
-            rule: Rule::BadSuppression,
-            file: file.to_string(),
-            line: bad.0,
-            message: bad.1.clone(),
-        });
+/// Runs the per-file rules over one file of the workspace model.
+pub(crate) fn check_file(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    for (line, message) in &file.ann.malformed {
+        file.emit(out, Rule::BadSuppression, *line, message.clone());
     }
-    if scope.crate_root {
-        check_forbid_unsafe(file, &code, &annotations, &mut out);
+    if file.scope.crate_root {
+        check_forbid_unsafe(file, out);
     }
-    check_atomics(file, &code, &test_mask, &annotations, &mut out);
-    if scope.flow {
-        check_nondet_iter(file, &code, &test_mask, &annotations, &mut out);
-        check_no_panic(file, &code, &test_mask, &annotations, &mut out);
-        check_casts(file, &code, &test_mask, &annotations, &mut out);
+    check_atomics(file, out);
+    if file.scope.flow {
+        check_nondet_iter(file, out);
+        check_no_panic(file, out);
+        check_casts(file, out);
     }
-    out.sort_by_key(|d| d.line);
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -417,7 +395,7 @@ fn find_after<'a>(haystack: &'a str, needle: &str) -> Option<&'a str> {
 
 /// Marks every code token covered by a `#[cfg(test)]` or `#[test]` item
 /// (attribute through the item's closing brace or semicolon).
-pub(crate) fn test_region_mask(code: &[&Token]) -> Vec<bool> {
+pub(crate) fn test_region_mask(code: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; code.len()];
     let mut i = 0;
     while i < code.len() {
@@ -459,7 +437,7 @@ pub(crate) fn test_region_mask(code: &[&Token]) -> Vec<bool> {
 
 /// `#[test]`, `#[cfg(test)]`, `#[cfg(all(test, ...))]` — but not
 /// `#[cfg(not(test))]`, which guards *production* code.
-fn attr_is_test(attr: &[&Token]) -> bool {
+fn attr_is_test(attr: &[Token]) -> bool {
     let idents: Vec<&str> = attr
         .iter()
         .filter(|t| t.kind == TokenKind::Ident)
@@ -474,11 +452,11 @@ fn attr_is_test(attr: &[&Token]) -> bool {
 
 /// Index one past the end of the item starting at `start`: either the
 /// first top-level `;` or the brace block's closing `}`.
-pub(crate) fn item_end_from(code: &[&Token], start: usize) -> usize {
+pub(crate) fn item_end_from(code: &[Token], start: usize) -> usize {
     let mut depth_paren = 0i32;
     let mut j = start;
     while j < code.len() {
-        let t = code[j];
+        let t = &code[j];
         if t.kind == TokenKind::Punct {
             match t.text.as_bytes().first() {
                 Some(b'(') | Some(b'[') => depth_paren += 1,
@@ -496,7 +474,7 @@ pub(crate) fn item_end_from(code: &[&Token], start: usize) -> usize {
 }
 
 /// Index of the token closing the group opened at `open_idx`.
-pub(crate) fn matching(code: &[&Token], open_idx: usize, open: char, close: char) -> Option<usize> {
+pub(crate) fn matching(code: &[Token], open_idx: usize, open: char, close: char) -> Option<usize> {
     let mut depth = 0i32;
     for (j, t) in code.iter().enumerate().skip(open_idx) {
         if t.is_punct(open) {
@@ -515,8 +493,8 @@ pub(crate) fn matching(code: &[&Token], open_idx: usize, open: char, close: char
 // forbid-unsafe
 // ---------------------------------------------------------------------
 
-fn check_forbid_unsafe(file: &str, code: &[&Token], ann: &Annotations, out: &mut Vec<Diagnostic>) {
-    let found = code.windows(8).any(|w| {
+fn check_forbid_unsafe(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let found = file.code.windows(8).any(|w| {
         w[0].is_punct('#')
             && w[1].is_punct('!')
             && w[2].is_punct('[')
@@ -526,13 +504,13 @@ fn check_forbid_unsafe(file: &str, code: &[&Token], ann: &Annotations, out: &mut
             && w[6].is_punct(')')
             && w[7].is_punct(']')
     });
-    if !found && !ann.allowed(Rule::ForbidUnsafe, 1) {
-        out.push(Diagnostic {
-            rule: Rule::ForbidUnsafe,
-            file: file.to_string(),
-            line: 1,
-            message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        });
+    if !found {
+        file.emit(
+            out,
+            Rule::ForbidUnsafe,
+            1,
+            "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
+        );
     }
 }
 
@@ -540,15 +518,10 @@ fn check_forbid_unsafe(file: &str, code: &[&Token], ann: &Annotations, out: &mut
 // atomics-justified
 // ---------------------------------------------------------------------
 
-fn check_atomics(
-    file: &str,
-    code: &[&Token],
-    test_mask: &[bool],
-    ann: &Annotations,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_atomics(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let code = &file.code;
     for i in 0..code.len().saturating_sub(3) {
-        if test_mask[i] {
+        if file.test[i] {
             continue;
         }
         let ordering = code[i].is_ident("Ordering")
@@ -559,18 +532,18 @@ fn check_atomics(
             continue;
         }
         let line = code[i + 3].line;
-        if ann.atomics_justified(line) || ann.allowed(Rule::AtomicsJustified, line) {
+        if file.ann.atomics_justified(line) {
             continue;
         }
-        out.push(Diagnostic {
-            rule: Rule::AtomicsJustified,
-            file: file.to_string(),
+        file.emit(
+            out,
+            Rule::AtomicsJustified,
             line,
-            message: format!(
+            format!(
                 "`Ordering::{}` without an `// atomics(<protocol>): <why>` justification",
                 code[i + 3].text
             ),
-        });
+        );
     }
 }
 
@@ -586,7 +559,7 @@ const TYPE_WRAPPERS: &[&str] = &["Option", "mut", "dyn"];
 /// annotations or `= HashMap::new()` initializers) directly to a
 /// hash-ordered collection. Wrapped types (`Vec<Mutex<HashMap<..>>>`)
 /// are *not* recorded: iterating the wrapper is order-safe.
-pub(crate) fn hash_typed_names(code: &[&Token]) -> Vec<String> {
+pub(crate) fn hash_typed_names(code: &[Token]) -> Vec<String> {
     let mut names = Vec::new();
     for i in 0..code.len() {
         if !(code[i].is_ident("HashMap") || code[i].is_ident("HashSet")) {
@@ -596,7 +569,7 @@ pub(crate) fn hash_typed_names(code: &[&Token]) -> Vec<String> {
         // directly-hash-typed annotation may interpose.
         let mut j = i;
         while j > 0 {
-            let t = code[j - 1];
+            let t = &code[j - 1];
             let skippable = t.is_punct('&')
                 || t.is_punct('<')
                 || t.kind == TokenKind::Lifetime
@@ -610,7 +583,7 @@ pub(crate) fn hash_typed_names(code: &[&Token]) -> Vec<String> {
         if j == 0 {
             continue;
         }
-        let before = code[j - 1];
+        let before = &code[j - 1];
         if before.is_punct(':') && j >= 2 && !code[j - 2].is_punct(':') {
             // `name: HashMap<..>` (declaration, field, or parameter) —
             // but not a `::` path like `std::collections::HashMap`.
@@ -627,13 +600,8 @@ pub(crate) fn hash_typed_names(code: &[&Token]) -> Vec<String> {
     names
 }
 
-fn check_nondet_iter(
-    file: &str,
-    code: &[&Token],
-    test_mask: &[bool],
-    ann: &Annotations,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_nondet_iter(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let (code, test_mask) = (&file.code, &file.test);
     let names = hash_typed_names(code);
     if names.is_empty() {
         return;
@@ -649,7 +617,7 @@ fn check_nondet_iter(
         if code[i].is_punct('.')
             && code[i + 2].is_punct('(')
             && ITER_METHODS.contains(&code[i + 1].text.as_str())
-            && is_hash(code[i - 1])
+            && is_hash(&code[i - 1])
         {
             flagged.push((
                 code[i + 1].line,
@@ -678,7 +646,7 @@ fn check_nondet_iter(
         let mut depth = 0i32;
         let mut k = j + 1;
         while k < code.len() {
-            let t = code[k];
+            let t = &code[k];
             if t.kind == TokenKind::Punct {
                 match t.text.as_bytes().first() {
                     Some(b'(') | Some(b'[') => depth += 1,
@@ -701,19 +669,16 @@ fn check_nondet_iter(
     flagged.sort();
     flagged.dedup_by_key(|f| f.0);
     for (line, what) in flagged {
-        if ann.allowed(Rule::NondetIter, line) {
-            continue;
-        }
-        out.push(Diagnostic {
-            rule: Rule::NondetIter,
-            file: file.to_string(),
+        file.emit(
+            out,
+            Rule::NondetIter,
             line,
-            message: format!(
+            format!(
                 "{what} iterates a hash-ordered collection in flow code; \
                  use BTreeMap/BTreeSet, sort first, or annotate why order \
                  cannot reach a result"
             ),
-        });
+        );
     }
 }
 
@@ -723,18 +688,13 @@ fn check_nondet_iter(
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-fn check_no_panic(
-    file: &str,
-    code: &[&Token],
-    test_mask: &[bool],
-    ann: &Annotations,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_no_panic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let code = &file.code;
     for i in 0..code.len().saturating_sub(1) {
-        if test_mask[i] {
+        if file.test[i] {
             continue;
         }
-        let t = code[i];
+        let t = &code[i];
         let (line, what) = if t.kind == TokenKind::Ident
             && PANIC_MACROS.contains(&t.text.as_str())
             && code[i + 1].is_punct('!')
@@ -756,18 +716,15 @@ fn check_no_panic(
         } else {
             continue;
         };
-        if ann.allowed(Rule::NoPanicPaths, line) {
-            continue;
-        }
-        out.push(Diagnostic {
-            rule: Rule::NoPanicPaths,
-            file: file.to_string(),
+        file.emit(
+            out,
+            Rule::NoPanicPaths,
             line,
-            message: format!(
+            format!(
                 "{what} in non-test flow code; propagate a Result or annotate \
                  the invariant that makes this infallible"
             ),
-        });
+        );
     }
 }
 
@@ -775,34 +732,25 @@ fn check_no_panic(
 // cast-truncation
 // ---------------------------------------------------------------------
 
-fn check_casts(
-    file: &str,
-    code: &[&Token],
-    test_mask: &[bool],
-    ann: &Annotations,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_casts(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let code = &file.code;
     for i in 0..code.len().saturating_sub(1) {
-        if test_mask[i] {
+        if file.test[i] {
             continue;
         }
         if !(code[i].is_ident("as") && NARROW_INTS.contains(&code[i + 1].text.as_str())) {
             continue;
         }
-        let line = code[i + 1].line;
-        if ann.allowed(Rule::CastTruncation, line) {
-            continue;
-        }
-        out.push(Diagnostic {
-            rule: Rule::CastTruncation,
-            file: file.to_string(),
-            line,
-            message: format!(
+        file.emit(
+            out,
+            Rule::CastTruncation,
+            code[i + 1].line,
+            format!(
                 "narrowing `as {}` cast on a flow path; use `try_from` or \
                  annotate the range invariant",
                 code[i + 1].text
             ),
-        });
+        );
     }
 }
 
@@ -811,14 +759,7 @@ mod tests {
     use super::*;
 
     fn flow(src: &str) -> Vec<Diagnostic> {
-        lint_file(
-            "t.rs",
-            src,
-            FileScope {
-                flow: true,
-                crate_root: false,
-            },
-        )
+        crate::lint_sources(&[("crates/core/src/t.rs".to_string(), src.to_string())])
     }
 
     #[test]
@@ -841,6 +782,21 @@ mod tests {
         let d = flow(src);
         assert!(d.iter().any(|d| d.rule == Rule::BadSuppression));
         assert!(d.iter().any(|d| d.rule == Rule::NoPanicPaths));
+    }
+
+    #[test]
+    fn every_rule_but_bad_suppression_is_an_allow_target() {
+        for &rule in Rule::ALL {
+            let parsed = Rule::from_name(rule.name());
+            if rule == Rule::BadSuppression {
+                assert_eq!(parsed, None);
+            } else {
+                assert_eq!(parsed, Some(rule));
+            }
+        }
+        let d = flow("// crp-lint: allow(bad-suppression, x)\nfn a() {}\n");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, Rule::BadSuppression);
     }
 
     #[test]

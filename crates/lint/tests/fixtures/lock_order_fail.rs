@@ -2,7 +2,7 @@
 //! findings: one acquisition cycle between `index` and `stats`
 //! (`record` takes index→stats, `evict` takes stats→index) and one
 //! self-deadlock on `queue` (`reenter` re-acquires it while held).
-//! Linted by `tests/selftest.rs` through `analyze_sources`; the
+//! Linted by `tests/selftest.rs` through `lint_sources`; the
 //! workspace engine never scans `fixtures/` directories.
 
 use std::sync::Mutex;

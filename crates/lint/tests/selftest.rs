@@ -3,31 +3,67 @@
 //! suppression cases inside), and malformed suppressions must be
 //! findings of their own.
 
-use crp_lint::{analyze_sources, lint_file, FileScope, Rule};
+use crp_lint::{lint_sources, FileScope, Rule};
 
 fn read_fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
+/// Lints `src` as the file `rel` and keeps only the findings of `family`.
+fn lint_family(rel: String, src: String, family: &[Rule]) -> Vec<crp_lint::Diagnostic> {
+    let mut d = lint_sources(&[(rel, src)]);
+    d.retain(|x| family.contains(&x.rule));
+    d
+}
+
+/// Runs the per-file rules over one fixture, placed where `scope` puts
+/// it: flow code in `crates/core/src/`, a crate root as
+/// `crates/tools/src/lib.rs`, anything else in `crates/tools/src/`.
 fn lint_fixture(name: &str, scope: FileScope) -> Vec<crp_lint::Diagnostic> {
-    lint_file(name, &read_fixture(name), scope)
+    let rel = match (scope.flow, scope.crate_root) {
+        (true, _) => format!("crates/core/src/{name}"),
+        (false, true) => "crates/tools/src/lib.rs".to_string(),
+        (false, false) => format!("crates/tools/src/{name}"),
+    };
+    let per_file = &[
+        Rule::NondetIter,
+        Rule::AtomicsJustified,
+        Rule::NoPanicPaths,
+        Rule::ForbidUnsafe,
+        Rule::CastTruncation,
+        Rule::BadSuppression,
+    ];
+    lint_family(rel, read_fixture(name), per_file)
 }
 
 /// Runs only the interprocedural lock analysis over one fixture.
 fn lock_fixture(name: &str) -> Vec<crp_lint::Diagnostic> {
-    analyze_sources(&[(name.to_string(), read_fixture(name))])
+    let family = &[Rule::LockOrder, Rule::HeldLockBlocking];
+    lint_family(name.to_string(), read_fixture(name), family)
 }
+
+/// The dataflow rules' findings.
+const DATAFLOW: &[Rule] = &[Rule::FloatOrder, Rule::EpochProtocol];
 
 /// Runs the dataflow rules (float-order, epoch-protocol) over one
 /// fixture, placed on a flow path so the rules apply.
 fn dataflow_fixture(name: &str) -> Vec<crp_lint::Diagnostic> {
-    crp_lint::dataflow::analyze(&[(format!("crates/core/src/{name}"), read_fixture(name))])
+    lint_family(
+        format!("crates/core/src/{name}"),
+        read_fixture(name),
+        DATAFLOW,
+    )
 }
 
 /// Runs the state-coverage rule over one fixture.
 fn coverage_fixture(name: &str) -> Vec<crp_lint::Diagnostic> {
-    crp_lint::coverage::analyze(&[(format!("crates/core/src/{name}"), read_fixture(name))])
+    let family = &[Rule::StateCoverage];
+    lint_family(
+        format!("crates/core/src/{name}"),
+        read_fixture(name),
+        family,
+    )
 }
 
 const FLOW: FileScope = FileScope {
@@ -238,10 +274,11 @@ fn float_order_passes_ordered_integer_and_annotated_sites() {
 
 #[test]
 fn float_order_is_scoped_to_flow_code() {
-    let d = crp_lint::dataflow::analyze(&[(
+    let d = lint_family(
         "tools/float_order_fail.rs".to_string(),
         read_fixture("float_order_fail.rs"),
-    )]);
+        DATAFLOW,
+    );
     assert!(d.is_empty(), "non-flow files must not be float-checked");
 }
 
@@ -301,14 +338,82 @@ fn state_coverage_catches_a_seeded_phantom_field() {
         1,
     );
     assert_ne!(seeded, src, "seeding the phantom field failed");
-    let d = crp_lint::coverage::analyze(&[(
+    let d = lint_family(
         "crates/core/src/state_coverage_pass.rs".to_string(),
         seeded,
-    )]);
+        &[Rule::StateCoverage],
+    );
     assert_eq!(d.len(), 2, "serializer + restorer direction: {d:?}");
     assert!(
         d.iter().all(|x| x.message.contains("`phantom_knob`")),
         "{d:?}"
+    );
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest of a finding list.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every fixture at once, in a two-crate tree: `crates/core/src/` is
+/// flow code and `crates/tools/src/` is not. Calls now resolve within a
+/// file and across the fixtures of one crate, each crate's copies
+/// shadow the other's, and the per-file rules run beside the
+/// interprocedural ones in one `lint_workspace` run. The per-rule
+/// counts and the digest of the sorted `rule file:line` list pin that
+/// run's findings.
+#[test]
+fn fixture_workspace_findings_are_pinned() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let root = std::env::temp_dir().join(format!("crp-lint-fixture-ws-{}", std::process::id()));
+    for krate in ["core", "tools"] {
+        let dir = root.join("crates").join(krate).join("src");
+        std::fs::create_dir_all(&dir).expect("temp tree writable");
+        for entry in std::fs::read_dir(&fixtures).expect("fixtures readable") {
+            let path = entry.expect("fixture entry").path();
+            let name = path.file_name().expect("fixture file name");
+            std::fs::copy(&path, dir.join(name)).expect("fixture copied");
+        }
+    }
+    let diags = crp_lint::lint_workspace(&root);
+    std::fs::remove_dir_all(&root).ok();
+    let diags = diags.expect("fixture tree readable");
+
+    let mut counts: Vec<(&str, usize)> = Vec::new();
+    for d in &diags {
+        match counts.iter_mut().find(|(r, _)| *r == d.rule.name()) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((d.rule.name(), 1)),
+        }
+    }
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    assert_eq!(
+        counts,
+        vec![
+            ("no-panic-paths", 28),
+            ("nondet-iter", 9),
+            ("state-coverage", 8),
+            ("held-lock-blocking", 6),
+            ("float-order", 5),
+            ("atomics-justified", 4),
+            ("bad-suppression", 4),
+            ("lock-order", 4),
+            ("cast-truncation", 3),
+            ("epoch-protocol", 3),
+        ],
+        "{diags:#?}"
+    );
+    let mut sites: Vec<String> = diags
+        .iter()
+        .map(|d| format!("{} {}:{}", d.rule.name(), d.file, d.line))
+        .collect();
+    sites.sort();
+    let digest = fnv1a(sites.join("\n").as_bytes());
+    assert_eq!(
+        digest, 0x8c23_c847_31aa_634c,
+        "digest {digest:#018x} of {sites:#?}"
     );
 }
 
