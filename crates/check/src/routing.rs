@@ -54,7 +54,9 @@ pub fn check_demand_totals(grid: &RouteGrid, routing: &Routing) -> Vec<CheckViol
 
 /// Recounts every per-edge wire usage and per-gcell via-endpoint counter
 /// from scratch over all committed routes and compares against the
-/// grid's incremental bookkeeping. O(routes + gcells × layers).
+/// grid's incremental bookkeeping, then recomputes every edge's Eq. 10
+/// cost from the grid's counters and compares against its cost table.
+/// O(routes + gcells × layers).
 #[must_use]
 pub fn check_demand_exact(grid: &RouteGrid, routing: &Routing) -> Vec<CheckViolation> {
     let mut wires: HashMap<Edge, u64> = HashMap::new();
@@ -122,7 +124,32 @@ pub fn check_demand_exact(grid: &RouteGrid, routing: &Routing) -> Vec<CheckViola
             recount: count as f64,
         });
     }
+
+    let vias = (0..nl.saturating_sub(1))
+        .flat_map(|lower| (0..ny).flat_map(move |y| (0..nx).map(move |x| Edge::via(x, y, lower))));
+    for edge in grid.planar_edges().chain(vias) {
+        let cached = grid.cost(edge);
+        let fresh = fresh_cost(grid, edge);
+        if cached.to_bits() != fresh.to_bits() {
+            out.push(CheckViolation::StaleEdgeCost {
+                edge,
+                cached,
+                fresh,
+            });
+        }
+    }
     out
+}
+
+/// Eq. 10 from the grid's counters: `Unit_e × (1 + penalty(e))` on a
+/// routable edge.
+fn fresh_cost(grid: &RouteGrid, edge: Edge) -> f64 {
+    let unit = match edge {
+        Edge::Planar { layer, .. } if !grid.is_routable(layer) => return f64::INFINITY,
+        Edge::Planar { .. } => grid.config().wire_unit,
+        Edge::Via { .. } => grid.config().via_unit,
+    };
+    unit * (1.0 + grid.penalty(edge))
 }
 
 /// Checks that the grid's congestion epoch did not move backwards since
@@ -248,6 +275,31 @@ mod tests {
         assert!(check_demand_totals(&grid, &routing)
             .iter()
             .any(|v| matches!(v, CheckViolation::ViaTotalMismatch { .. })));
+    }
+
+    #[test]
+    fn cost_table_stays_fresh_through_reroutes() {
+        let (d, mut grid, mut routing) = routed();
+        let mut router = GlobalRouter::new(RouterConfig::default());
+        for net in d.net_ids() {
+            router.reroute_with_maze(&d, &mut grid, &mut routing, net);
+        }
+        grid.add_via(0, 0, 1);
+        grid.remove_via(0, 0, 1);
+        assert!(check_demand_exact(&grid, &routing).is_empty());
+    }
+
+    #[test]
+    fn stale_cost_names_the_edge() {
+        let v = CheckViolation::StaleEdgeCost {
+            edge: Edge::via(1, 2, 3),
+            cached: 2.0,
+            fresh: 3.0,
+        };
+        assert_eq!(
+            v.to_string(),
+            "cost of Via { x: 1, y: 2, lower: 3 }: table holds 2, counters give 3"
+        );
     }
 
     #[test]

@@ -108,6 +108,16 @@ pub enum CheckViolation {
         /// What the routing says (already doubled to endpoints).
         routing: f64,
     },
+    /// A cached Eq. 10 edge cost disagrees with Eq. 10 recomputed from
+    /// the grid's counters.
+    StaleEdgeCost {
+        /// Offending edge.
+        edge: Edge,
+        /// What the grid's cost table holds.
+        cached: f64,
+        /// What the counters give.
+        fresh: f64,
+    },
     /// The grid's global congestion epoch decreased.
     EpochWentBackwards {
         /// Epoch recorded at the start of the checked span.
@@ -184,6 +194,14 @@ impl fmt::Display for CheckViolation {
             ViaTotalMismatch { grid, routing } => write!(
                 f,
                 "total via endpoints: grid says {grid}, routing says {routing}"
+            ),
+            StaleEdgeCost {
+                edge,
+                cached,
+                fresh,
+            } => write!(
+                f,
+                "cost of {edge:?}: table holds {cached}, counters give {fresh}"
             ),
             EpochWentBackwards { before, now } => {
                 write!(f, "grid epoch went backwards: {before} -> {now}")

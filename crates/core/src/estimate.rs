@@ -503,45 +503,6 @@ pub fn check_price_consistency(
     out
 }
 
-/// The pre-work-stealing baseline: fixed `chunks_mut` partitioning with
-/// one fresh allocation set per candidate and no price cache. Kept only
-/// as the comparison point for the `estimate_phase` benchmark.
-#[doc(hidden)]
-pub fn estimate_candidates_chunked(
-    design: &Design,
-    grid: &RouteGrid,
-    routing: &Routing,
-    per_cell: &mut [Vec<Candidate>],
-    config: &CrpConfig,
-) {
-    let price_list = |cands: &mut Vec<Candidate>| {
-        for cand in cands.iter_mut() {
-            cand.routing_cost =
-                price_cell_nets(design, grid, routing, cand, config.congestion_aware);
-            if !cand.is_stay(design) {
-                cand.routing_cost += config.move_margin;
-            }
-        }
-    };
-    let threads = config.effective_threads().max(1);
-    if threads == 1 || per_cell.len() < 2 {
-        for cands in per_cell.iter_mut() {
-            price_list(cands);
-        }
-        return;
-    }
-    let chunk = per_cell.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for slice in per_cell.chunks_mut(chunk) {
-            scope.spawn(|| {
-                for cands in slice.iter_mut() {
-                    price_list(cands);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,29 +653,6 @@ mod tests {
         );
         // The sampled form with a zero budget must stay silent.
         assert!(check_price_consistency(&d, &grid, &routing, &lists, &cfg, Some(0)).is_empty());
-    }
-
-    #[test]
-    fn chunked_baseline_agrees_with_work_stealing() {
-        let (d, grid, routing, cells) = flow();
-        let cfg = CrpConfig::default();
-        let make = || {
-            vec![
-                vec![Candidate::stay(&d, cells[0])],
-                vec![Candidate::stay(&d, cells[1]), {
-                    let mut c = Candidate::stay(&d, cells[1]);
-                    c.pos = Point::new(8_000, 6_000);
-                    c
-                }],
-            ]
-        };
-        let mut a = make();
-        estimate_candidates(&d, &grid, &routing, &mut a, &cfg);
-        let mut b = make();
-        estimate_candidates_chunked(&d, &grid, &routing, &mut b, &cfg);
-        for (ca, cb) in a.iter().flatten().zip(b.iter().flatten()) {
-            assert_eq!(ca.routing_cost, cb.routing_cost);
-        }
     }
 
     #[test]

@@ -66,8 +66,6 @@ pub use config::CrpConfig;
 /// The invariant-check tier driving the per-phase oracle (re-exported
 /// from [`crp_check`] so configuring the flow needs no extra import).
 pub use crp_check::CheckLevel;
-#[doc(hidden)]
-pub use estimate::estimate_candidates_chunked;
 pub use estimate::{
     check_price_consistency, estimate_candidates, estimate_candidates_cached, price_cell_nets,
     price_cell_nets_with, PriceScratch,

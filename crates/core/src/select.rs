@@ -30,9 +30,13 @@ pub(crate) struct SelectScratch {
 /// - two candidates whose claimed footprints overlap are mutually
 ///   exclusive.
 ///
-/// Returns the chosen index into each cell's candidate list. The all-stay
-/// assignment is always feasible, so the solve cannot be infeasible; if
-/// the node limit is hit with no incumbent, all-stay is returned.
+/// Returns the chosen index into each cell's candidate list. The solve
+/// splits the model into conflict components that share
+/// [`CrpConfig::ilp_node_limit`]. A component the limit cuts off keeps the
+/// best selection its search found; one cut off before it found any
+/// leaves its cells where they are, picking each cell's stay candidate.
+/// Should the solve still fail, because a cell has no stay candidate or
+/// two stay candidates conflict (an illegal placement), every cell stays.
 ///
 /// # Panics
 ///
@@ -82,8 +86,8 @@ fn add_vars(model: &mut Model, per_cell: &[Vec<Candidate>]) -> Vec<Vec<VarId>> {
         .collect()
 }
 
-/// Adds the exactly-one rows and solves; falls back to all-stay when the
-/// node limit is hit with no incumbent.
+/// Adds the exactly-one rows with each cell's stay candidate as its
+/// fallback and solves; falls back to all-stay when the solve fails.
 fn solve(
     mut model: Model,
     groups: &[Vec<VarId>],
@@ -91,8 +95,15 @@ fn solve(
     per_cell: &[Vec<Candidate>],
     config: &CrpConfig,
 ) -> Vec<usize> {
-    for vars in groups {
+    let stays: Vec<Option<usize>> = per_cell
+        .iter()
+        .map(|cands| cands.iter().position(|c| c.is_stay(design)))
+        .collect();
+    for (vars, stay) in groups.iter().zip(&stays) {
         model.add_exactly_one(vars.iter().copied());
+        if let Some(i) = *stay {
+            model.set_fallback(vars[i]);
+        }
     }
     match model.solve(SolveLimits {
         max_nodes: config.ilp_node_limit,
@@ -105,13 +116,7 @@ fn solve(
             .zip(groups)
             .map(|(v, vars)| (v.0 - vars[0].0) as usize)
             .collect(),
-        Err(_) => {
-            // All-stay fallback: index of the stay candidate per group.
-            per_cell
-                .iter()
-                .map(|cands| cands.iter().position(|c| c.is_stay(design)).unwrap_or(0))
-                .collect()
-        }
+        Err(_) => stays.iter().map(|stay| stay.unwrap_or(0)).collect(),
     }
 }
 
@@ -383,6 +388,50 @@ mod tests {
         let per_cell = vec![vec![cand(&d, cells[0], Point::new(800, 0), 1.0), stay0]];
         let chosen = select_candidates(&d, &per_cell, &cfg);
         assert_eq!(chosen, vec![1], "must fall back to the stay candidate");
+    }
+
+    #[test]
+    fn cut_off_components_fall_back_alone() {
+        // Two far-apart pairs of cells, each pair competing for one spot:
+        // two conflict components. The node budget lets the first finish
+        // and leaves the second none, so only the second falls back to
+        // its stay candidates.
+        let mut b = DesignBuilder::new("sel2", 1000);
+        b.site(200, 2000);
+        let m = b.add_macro(MacroCell::new("M", 400, 2000));
+        b.add_rows(4, 400, Point::new(0, 0));
+        let cells: Vec<CellId> = [0, 4000, 60_000, 64_000]
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| b.add_cell(format!("u{i}"), m, Point::new(x, 0)))
+            .collect();
+        let d = b.build();
+        let per_cell: Vec<Vec<Candidate>> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                let mut stay = Candidate::stay(&d, c);
+                stay.routing_cost = 10.0;
+                let spot = Point::new(if i < 2 { 2000 } else { 62_000 }, 0);
+                vec![stay, cand(&d, c, spot, 1.0 + i as f64)]
+            })
+            .collect();
+        let unlimited = select_candidates(&d, &per_cell, &CrpConfig::default());
+        assert_eq!(unlimited, vec![1, 0, 1, 0]);
+        // The first component's search takes a handful of nodes, and
+        // all of them are spent before the second starts.
+        let mut probe = Model::new();
+        let groups = add_vars(&mut probe, &per_cell[..2]);
+        for vars in &groups {
+            probe.add_exactly_one(vars.iter().copied());
+        }
+        probe.add_conflict(groups[0][1], groups[1][1]);
+        let first = probe.solve(SolveLimits::default()).unwrap().nodes;
+        let cfg = CrpConfig {
+            ilp_node_limit: first,
+            ..CrpConfig::default()
+        };
+        assert_eq!(select_candidates(&d, &per_cell, &cfg), vec![1, 0, 0, 0]);
     }
 
     #[test]

@@ -11,8 +11,18 @@ use serde::{Deserialize, Serialize};
 /// One instance is shared by the global router, the CR&P candidate pricer,
 /// and the detailed-routing proxy. All mutation is explicit
 /// ([`add_wire`](RouteGrid::add_wire) / [`remove_wire`](RouteGrid::remove_wire) /
-/// [`add_via`](RouteGrid::add_via) / [`remove_via`](RouteGrid::remove_via)),
-/// so rip-up-and-reroute is exact bookkeeping.
+/// [`add_via_stack`](RouteGrid::add_via_stack) /
+/// [`remove_via_stack`](RouteGrid::remove_via_stack)), so rip-up-and-reroute
+/// is exact bookkeeping.
+///
+/// The grid keeps the Eq. 10 cost of every edge in a table, so
+/// [`cost`](RouteGrid::cost) is one load. Each mutation recomputes the
+/// entries whose inputs it changed, and nothing else:
+///
+/// - a wire unit: the cost of its own planar edge;
+/// - a via stack at `(x, y)` over layers `lo..=hi`: on each of those
+///   layers the two planar edges that meet at `(x, y)`, and the via edges
+///   at `(x, y)` that read one of those layers' via counters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RouteGrid {
     nx: u16,
@@ -29,6 +39,16 @@ pub struct RouteGrid {
     fixed: Vec<f64>,
     /// Via endpoints per (layer, gcell) — the `V` of `δ_e`.
     vias: Vec<f64>,
+    /// Eq. 10 cost of the planar edge leaving each slot, kept current by
+    /// every mutation; `f64::INFINITY` where no routable edge leaves.
+    planar_cost: Vec<f64>,
+    /// Eq. 10 cost of the via edge from each slot up to the next layer;
+    /// `f64::INFINITY` on the top layer.
+    via_cost: Vec<f64>,
+    /// Eq. 10 cost of a via edge by the sum of its two endpoint via
+    /// counters, the only input that varies between via edges; grown on
+    /// demand, so refreshing a via edge is a lookup.
+    via_cost_by_sum: Vec<f64>,
     /// Monotonic congestion epoch: bumped by every wire/via mutation.
     epoch: u64,
     /// Last epoch each `(x, y)` gcell column was touched, row-major
@@ -138,6 +158,9 @@ impl RouteGrid {
             wire: vec![0.0; n],
             fixed: vec![0.0; n],
             vias: vec![0.0; n],
+            planar_cost: vec![f64::INFINITY; n],
+            via_cost: vec![f64::INFINITY; n],
+            via_cost_by_sum: Vec::new(),
             epoch: 0,
             touch2d: vec![0; usize::from(nx) * usize::from(ny)],
         };
@@ -159,6 +182,14 @@ impl RouteGrid {
 
         for blockage in &design.blockages {
             grid.block(design, *blockage);
+        }
+        for layer in 0..nl {
+            for y in 0..ny {
+                for x in 0..nx {
+                    grid.refresh_planar(layer, x, y);
+                    grid.refresh_via(x, y, layer);
+                }
+            }
         }
 
         Ok(grid)
@@ -232,6 +263,22 @@ impl RouteGrid {
             + usize::from(x)
     }
 
+    /// The slot of gcell `(x, y)` on `layer`: `(layer · ny + y) · nx + x`.
+    ///
+    /// A slot also names the planar edge leaving that gcell, so callers
+    /// can keep per-edge state (the router's RRR history) in a dense
+    /// array of [`num_slots`](RouteGrid::num_slots) entries.
+    #[must_use]
+    pub fn slot(&self, layer: u16, x: u16, y: u16) -> usize {
+        self.idx(layer, x, y)
+    }
+
+    /// The number of slots: `nx · ny · layers`.
+    #[must_use]
+    pub fn num_slots(&self) -> usize {
+        self.cap.len()
+    }
+
     /// Whether a planar edge leaves gcell `(x, y)` on `layer` in the
     /// preferred direction without leaving the grid.
     #[must_use]
@@ -299,16 +346,37 @@ impl RouteGrid {
         match edge {
             Edge::Planar { layer, x, y } => {
                 let i = self.idx(layer, x, y);
-                let (a, b) = edge.endpoints(|l| self.axes[usize::from(l)]);
-                let va = self.via_count(layer, a.x, a.y);
-                let vb = self.via_count(layer, b.x, b.y);
-                let delta = ((va + vb) / 2.0).sqrt();
-                self.wire[i] + self.fixed[i] + self.config.beta * delta
+                self.planar_demand(i, self.far_slot(layer, i))
             }
             Edge::Via { x, y, lower } => {
-                (self.via_count(lower, x, y) + self.via_count(lower + 1, x, y)) / 2.0
+                let i = self.idx(lower, x, y);
+                self.via_demand(i, self.slot_above(i))
             }
         }
+    }
+
+    /// Eq. 9 of the planar edge from slot `i` to its far endpoint `j`.
+    fn planar_demand(&self, i: usize, j: usize) -> f64 {
+        let delta = ((self.vias[i] + self.vias[j]) / 2.0).sqrt();
+        self.wire[i] + self.fixed[i] + self.config.beta * delta
+    }
+
+    /// The demand of the via edge from slot `i` up to slot `j`.
+    fn via_demand(&self, i: usize, j: usize) -> f64 {
+        (self.vias[i] + self.vias[j]) / 2.0
+    }
+
+    /// The far endpoint of the planar edge leaving slot `i` on `layer`.
+    fn far_slot(&self, layer: u16, i: usize) -> usize {
+        match self.axis(layer) {
+            Axis::X => i + 1,
+            Axis::Y => i + usize::from(self.nx),
+        }
+    }
+
+    /// The slot one layer above slot `i`.
+    fn slot_above(&self, i: usize) -> usize {
+        i + usize::from(self.nx) * usize::from(self.ny)
     }
 
     /// Congestion penalty of `edge` (the logistic of Eq. 10).
@@ -320,19 +388,69 @@ impl RouteGrid {
     /// Edge cost (Eq. 10): `Unit_e × Dist(e) × (1 + penalty(e))`.
     ///
     /// `Dist` is one gcell for planar edges and 1 for via edges. Edges on
-    /// non-routable layers cost `f64::INFINITY`.
+    /// non-routable layers, and edges that would leave the grid, cost
+    /// `f64::INFINITY`. The value is read from the cost table, which every
+    /// mutation keeps equal to the from-scratch formula.
     #[must_use]
     pub fn cost(&self, edge: Edge) -> f64 {
-        let unit = match edge {
-            Edge::Planar { layer, .. } => {
-                if !self.is_routable(layer) {
-                    return f64::INFINITY;
-                }
-                self.config.wire_unit
-            }
-            Edge::Via { .. } => self.config.via_unit,
+        match edge {
+            Edge::Planar { layer, x, y } => self.planar_cost[self.idx(layer, x, y)],
+            Edge::Via { x, y, lower } => self.via_cost[self.idx(lower, x, y)],
+        }
+    }
+
+    /// Recomputes the cached Eq. 10 cost of the planar edge leaving
+    /// `(x, y)` on `layer`: `Unit_e × (1 + penalty(e))`, or infinity on a
+    /// non-routable layer and where the edge would leave the grid.
+    fn refresh_planar(&mut self, layer: u16, x: u16, y: u16) {
+        let i = self.idx(layer, x, y);
+        self.planar_cost[i] = if self.is_routable(layer) && self.planar_edge_exists(layer, x, y) {
+            let d = self.planar_demand(i, self.far_slot(layer, i));
+            self.config.wire_unit * (1.0 + self.config.penalty(d, self.cap[i]))
+        } else {
+            f64::INFINITY
         };
-        unit * (1.0 + self.penalty(edge))
+    }
+
+    /// Recomputes the cached Eq. 10 cost of the via edge from `lower` to
+    /// `lower + 1` at `(x, y)`, or infinity on the top layer.
+    fn refresh_via(&mut self, x: u16, y: u16, lower: u16) {
+        let i = self.idx(lower, x, y);
+        if lower + 1 == self.nl {
+            self.via_cost[i] = f64::INFINITY;
+            return;
+        }
+        // crp-lint: allow(cast-truncation, via counters hold non-negative
+        // whole numbers, so their sum converts to usize exactly)
+        let sum = (self.vias[i] + self.vias[self.slot_above(i)]) as usize;
+        while self.via_cost_by_sum.len() <= sum {
+            // crp-lint: allow(cast-truncation, a via counter sum is far below
+            // 2^53, so the memo index converts back to f64 exactly)
+            let d = self.via_cost_by_sum.len() as f64 / 2.0;
+            let c = self.config.via_unit * (1.0 + self.config.penalty(d, self.config.via_capacity));
+            self.via_cost_by_sum.push(c);
+        }
+        self.via_cost[i] = self.via_cost_by_sum[sum];
+    }
+
+    /// Recomputes every cached cost that reads the via counters at
+    /// `(x, y)` on layers `lo..=hi`: the planar edges leaving and entering
+    /// `(x, y)` on those layers, and the via edges touching them.
+    fn refresh_via_counters(&mut self, x: u16, y: u16, lo: u16, hi: u16) {
+        for layer in lo..=hi {
+            if !self.is_routable(layer) {
+                continue;
+            }
+            self.refresh_planar(layer, x, y);
+            match self.axis(layer) {
+                Axis::X if x > 0 => self.refresh_planar(layer, x - 1, y),
+                Axis::Y if y > 0 => self.refresh_planar(layer, x, y - 1),
+                _ => {}
+            }
+        }
+        for lower in lo.saturating_sub(1)..=hi {
+            self.refresh_via(x, y, lower);
+        }
     }
 
     /// Edge cost (Eq. 10) evaluated at a hypothetically adjusted demand
@@ -436,6 +554,7 @@ impl RouteGrid {
                 let i = self.idx(layer, x, y);
                 self.wire[i] += 1.0;
                 self.touch(x, y);
+                self.refresh_planar(layer, x, y);
             }
             // crp-lint: allow(no-panic-paths, documented API contract — the
             // edge kind is static at every call site, so this is a caller bug)
@@ -455,6 +574,7 @@ impl RouteGrid {
                 assert!(self.wire[i] >= 1.0, "wire usage underflow on {edge:?}");
                 self.wire[i] -= 1.0;
                 self.touch(x, y);
+                self.refresh_planar(layer, x, y);
             }
             // crp-lint: allow(no-panic-paths, documented API contract — the
             // edge kind is static at every call site, so this is a caller bug)
@@ -465,12 +585,7 @@ impl RouteGrid {
     /// Records a via at `(x, y)` between `lower` and `lower + 1`: both
     /// endpoint layers' via counters at the gcell are incremented.
     pub fn add_via(&mut self, x: u16, y: u16, lower: u16) {
-        debug_assert!(lower + 1 < self.nl, "via above top layer");
-        let a = self.idx(lower, x, y);
-        let b = self.idx(lower + 1, x, y);
-        self.vias[a] += 1.0;
-        self.vias[b] += 1.0;
-        self.touch(x, y);
+        self.add_via_stack(x, y, lower, lower + 1);
     }
 
     /// Removes a via previously recorded with [`add_via`](RouteGrid::add_via).
@@ -479,15 +594,47 @@ impl RouteGrid {
     ///
     /// Panics if the counters would go negative.
     pub fn remove_via(&mut self, x: u16, y: u16, lower: u16) {
-        let a = self.idx(lower, x, y);
-        let b = self.idx(lower + 1, x, y);
-        assert!(
-            self.vias[a] >= 1.0 && self.vias[b] >= 1.0,
-            "via count underflow"
-        );
-        self.vias[a] -= 1.0;
-        self.vias[b] -= 1.0;
-        self.touch(x, y);
+        self.remove_via_stack(x, y, lower, lower + 1);
+    }
+
+    /// Records the stack of vias at `(x, y)` connecting layers `lo..=hi`:
+    /// one [`add_via`](RouteGrid::add_via) per layer pair, with the costs
+    /// those vias change recomputed once for the whole stack.
+    pub fn add_via_stack(&mut self, x: u16, y: u16, lo: u16, hi: u16) {
+        debug_assert!(hi < self.nl, "via above top layer");
+        for lower in lo..hi {
+            let a = self.idx(lower, x, y);
+            let b = self.idx(lower + 1, x, y);
+            self.vias[a] += 1.0;
+            self.vias[b] += 1.0;
+            self.touch(x, y);
+        }
+        if lo < hi {
+            self.refresh_via_counters(x, y, lo, hi);
+        }
+    }
+
+    /// Removes a stack previously recorded with
+    /// [`add_via_stack`](RouteGrid::add_via_stack).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counters would go negative.
+    pub fn remove_via_stack(&mut self, x: u16, y: u16, lo: u16, hi: u16) {
+        for lower in lo..hi {
+            let a = self.idx(lower, x, y);
+            let b = self.idx(lower + 1, x, y);
+            assert!(
+                self.vias[a] >= 1.0 && self.vias[b] >= 1.0,
+                "via count underflow"
+            );
+            self.vias[a] -= 1.0;
+            self.vias[b] -= 1.0;
+            self.touch(x, y);
+        }
+        if lo < hi {
+            self.refresh_via_counters(x, y, lo, hi);
+        }
     }
 
     /// Adds fixed usage for a blockage rectangle on the lower
@@ -860,6 +1007,120 @@ mod tests {
                 "penalty at d={wires}"
             );
             assert!((g.cost(e) - cost).abs() < 1e-12, "cost at d={wires}");
+        }
+    }
+
+    #[test]
+    fn non_edges_cost_infinity() {
+        let g = grid();
+        // M2 runs along x: no edge leaves the last column.
+        assert_eq!(g.cost(Edge::planar(1, 19, 3)), f64::INFINITY);
+        // M3 runs along y: no edge leaves the last row.
+        assert_eq!(g.cost(Edge::planar(2, 3, 19)), f64::INFINITY);
+        // No via leaves the top layer.
+        assert_eq!(g.cost(Edge::via(3, 3, 8)), f64::INFINITY);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A 5 × 4 gcell grid; with `blocked`, two blockages cover the
+        /// boundary gcells of two corners.
+        fn small(blocked: bool) -> RouteGrid {
+            let mut b = DesignBuilder::new("p", 1000);
+            b.site(200, 2000);
+            b.add_rows(6, 75, Point::new(0, 0)); // 15_000 x 12_000 -> 5 x 4
+            let mut d = b.build();
+            if blocked {
+                d.blockages
+                    .push(Rect::with_size(Point::new(2000, 0), 4000, 3000));
+                d.blockages
+                    .push(Rect::with_size(Point::new(11_000, 8000), 4000, 4000));
+            }
+            RouteGrid::new(&d, GridConfig::default())
+        }
+
+        /// Eq. 10 through the edge-level queries: `Unit_e × (1 + penalty)`.
+        fn fresh(g: &RouteGrid, e: Edge) -> f64 {
+            match e {
+                Edge::Planar { layer, .. } if !g.is_routable(layer) => f64::INFINITY,
+                Edge::Planar { .. } => g.config().wire_unit * (1.0 + g.penalty(e)),
+                Edge::Via { .. } => g.config().via_unit * (1.0 + g.penalty(e)),
+            }
+        }
+
+        /// Every cached cost equals Eq. 10 from the counters, bit for bit;
+        /// every slot without an edge caches infinity.
+        fn assert_table_fresh(g: &RouteGrid, step: usize) {
+            let (nx, ny, nl) = g.dims();
+            for layer in 0..nl {
+                for y in 0..ny {
+                    for x in 0..nx {
+                        let p = Edge::planar(layer, x, y);
+                        let want = if g.planar_edge_exists(layer, x, y) {
+                            fresh(g, p)
+                        } else {
+                            f64::INFINITY
+                        };
+                        assert_eq!(g.cost(p).to_bits(), want.to_bits(), "{p:?} at step {step}");
+                        let v = Edge::via(x, y, layer);
+                        let want = if g.edge_exists(v) {
+                            fresh(g, v)
+                        } else {
+                            f64::INFINITY
+                        };
+                        assert_eq!(g.cost(v).to_bits(), want.to_bits(), "{v:?} at step {step}");
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn cost_table_matches_eq10_after_every_mutation(
+                blocked in 0u8..2,
+                ops in proptest::collection::vec(
+                    (0u8..6, 0u16..5, 0u16..4, (0u16..9, 0u16..9)),
+                    1..60,
+                )
+            ) {
+                let mut g = small(blocked == 1);
+                let (_, _, nl) = g.dims();
+                assert_table_fresh(&g, 0);
+                // Stacks on the grid, so removals always have something
+                // to take away.
+                let mut stacks: Vec<(u16, u16, u16, u16)> = Vec::new();
+                for (step, &(op, x, y, (a, b))) in ops.iter().enumerate() {
+                    let layer = a % nl;
+                    let (lo, hi) = (a.min(b) % nl, a.max(b) % nl);
+                    let edge = Edge::planar(layer, x, y);
+                    match op {
+                        0 | 1 if g.edge_exists(edge) => g.add_wire(edge),
+                        2 if g.wire_usage(edge) >= 1.0 => g.remove_wire(edge),
+                        3 if lo < hi => {
+                            g.add_via_stack(x, y, lo, hi);
+                            stacks.push((x, y, lo, hi));
+                        }
+                        4 if layer + 1 < nl => {
+                            g.add_via(x, y, layer);
+                            stacks.push((x, y, layer, layer + 1));
+                        }
+                        5 if !stacks.is_empty() => {
+                            let (sx, sy, slo, shi) =
+                                stacks.swap_remove(usize::from(x + y) % stacks.len());
+                            if shi == slo + 1 {
+                                g.remove_via(sx, sy, slo);
+                            } else {
+                                g.remove_via_stack(sx, sy, slo, shi);
+                            }
+                        }
+                        _ => continue,
+                    }
+                    assert_table_fresh(&g, step + 1);
+                }
+            }
         }
     }
 

@@ -16,7 +16,10 @@
 //! sum-of-group-minima lower bound. Instances are small by construction
 //! (the paper uses 3-cell windows of 20 × 5 slots), so the exact optimum is
 //! found quickly; a node limit turns the solver into an anytime heuristic
-//! and reproduces the scalability cliff of the median-move baseline.
+//! and reproduces the scalability cliff of the median-move baseline. A
+//! conflict component the limit cuts off keeps its best assignment, or,
+//! when it has none, the per-group fallbacks the caller named with
+//! [`Model::set_fallback`].
 //!
 //! # Examples
 //!
@@ -61,6 +64,9 @@ pub struct Model {
     costs: Vec<f64>,
     group_of: Vec<Option<u32>>,
     groups: Vec<Vec<VarId>>,
+    /// Per group, the variable a component cut off by the node limit
+    /// with no incumbent takes instead.
+    fallback: Vec<Option<VarId>>,
     conflicts: Vec<Vec<VarId>>,
 }
 
@@ -90,6 +96,9 @@ pub struct Solution {
     pub nodes: u64,
     /// Whether the solution is a proven optimum (node limit not hit).
     pub proven_optimal: bool,
+    /// Conflict components the node limit cut off before they found any
+    /// assignment, which took their groups' fallbacks.
+    pub fallback_components: usize,
 }
 
 impl Solution {
@@ -105,7 +114,9 @@ impl Solution {
 pub enum SolveError {
     /// The constraints admit no assignment.
     Infeasible,
-    /// The node limit was reached before any feasible solution was found.
+    /// The node limit cut off a conflict component before it found any
+    /// feasible assignment, and its groups name no conflict-free
+    /// fallbacks.
     NodeLimit {
         /// Nodes explored before aborting.
         nodes: u64,
@@ -186,6 +197,24 @@ impl Model {
             self.group_of[v.index()] = Some(gid);
         }
         self.groups.push(vars);
+        self.fallback.push(None);
+    }
+
+    /// Names `var` as its group's fallback: the variable the group takes
+    /// when the node limit cuts off its conflict component before the
+    /// search finds any assignment. A component falls back only when
+    /// every one of its groups has a fallback and no two of them
+    /// conflict; otherwise [`solve`](Model::solve) reports
+    /// [`SolveError::NodeLimit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` belongs to no group.
+    pub fn set_fallback(&mut self, var: VarId) {
+        // crp-lint: allow(no-panic-paths, documented API contract: a
+        // fallback names a variable of an existing group)
+        let g = self.group_of[var.index()].expect("fallback variable belongs to no group");
+        self.fallback[g as usize] = Some(var);
     }
 
     /// Forbids selecting both `a` and `b`.
@@ -205,14 +234,21 @@ impl Model {
         self.costs[var.index()]
     }
 
-    /// Solves the model to optimality (or best incumbent under the node
-    /// limit).
+    /// Solves the model to optimality, or under the node limit to the best
+    /// incumbent of each conflict component.
+    ///
+    /// The components share one node budget, in order of their lowest
+    /// group. A component the limit cuts off keeps its incumbent; one
+    /// with no incumbent takes its groups' fallbacks (see
+    /// [`set_fallback`](Model::set_fallback)) and is counted in
+    /// [`Solution::fallback_components`].
     ///
     /// # Errors
     ///
     /// - [`SolveError::UngroupedVariable`] if any variable is in no group;
     /// - [`SolveError::Infeasible`] if the conflicts admit no assignment;
-    /// - [`SolveError::NodeLimit`] if the limit is hit with no incumbent.
+    /// - [`SolveError::NodeLimit`] if the limit cuts off a component with
+    ///   no incumbent and no conflict-free fallbacks.
     pub fn solve(&self, limits: SolveLimits) -> Result<Solution, SolveError> {
         for (i, g) in self.group_of.iter().enumerate() {
             if g.is_none() {
@@ -229,6 +265,7 @@ impl Model {
                 objective: 0.0,
                 nodes: 0,
                 proven_optimal: true,
+                fallback_components: 0,
             });
         }
 
@@ -272,6 +309,7 @@ impl Model {
         let mut objective = 0.0;
         let mut total_nodes = 0u64;
         let mut proven = true;
+        let mut fallback_components = 0;
 
         for component in component_list {
             if component.len() == 1 && {
@@ -343,7 +381,17 @@ impl Model {
                         proven = false;
                     }
                 }
-                None if search.aborted => return Err(SolveError::NodeLimit { nodes: total_nodes }),
+                None if search.aborted => {
+                    let fallback = self
+                        .fallbacks(&component)
+                        .ok_or(SolveError::NodeLimit { nodes: total_nodes })?;
+                    for (&g, var) in component.iter().zip(fallback) {
+                        chosen[g] = var;
+                        objective += self.costs[var.index()];
+                    }
+                    proven = false;
+                    fallback_components += 1;
+                }
                 None => return Err(SolveError::Infeasible),
             }
         }
@@ -353,7 +401,25 @@ impl Model {
             objective,
             nodes: total_nodes,
             proven_optimal: proven,
+            fallback_components,
         })
+    }
+
+    /// The fallback of every group in `component`, if each has one and
+    /// no two of them conflict.
+    fn fallbacks(&self, component: &[usize]) -> Option<Vec<VarId>> {
+        let vars: Vec<VarId> = component
+            .iter()
+            .map(|&g| self.fallback[g])
+            .collect::<Option<_>>()?;
+        let mut taken = vec![false; self.num_vars()];
+        for v in &vars {
+            taken[v.index()] = true;
+        }
+        let conflict_free = vars
+            .iter()
+            .all(|v| self.conflicts[v.index()].iter().all(|c| !taken[c.index()]));
+        conflict_free.then_some(vars)
     }
 
     /// Brute-force enumeration over all group combinations — exponential;
@@ -378,6 +444,7 @@ impl Model {
                 objective: 0.0,
                 nodes: 0,
                 proven_optimal: true,
+                fallback_components: 0,
             });
         }
         'outer: loop {
@@ -416,6 +483,7 @@ impl Model {
                 objective,
                 nodes: 0,
                 proven_optimal: true,
+                fallback_components: 0,
             }),
             None => Err(SolveError::Infeasible),
         }
@@ -697,6 +765,77 @@ mod tests {
             Err(SolveError::NodeLimit { nodes }) => assert!(nodes >= 1),
             other => panic!("expected node limit, got {other:?}"),
         }
+    }
+
+    /// A chain of `len` two-option groups whose cheap options conflict
+    /// pairwise along the chain; returns the `(cheap, dear)` pairs.
+    fn chain(m: &mut Model, len: usize) -> Vec<(VarId, VarId)> {
+        let mut out: Vec<(VarId, VarId)> = Vec::new();
+        for _ in 0..len {
+            let x = m.add_var(1.0);
+            let y = m.add_var(2.0);
+            m.add_exactly_one([x, y]);
+            if let Some(&(px, _)) = out.last() {
+                m.add_conflict(px, x);
+            }
+            out.push((x, y));
+        }
+        out
+    }
+
+    #[test]
+    fn exhausted_budget_keeps_incumbents_and_falls_back_per_component() {
+        // Two independent chains. The budget runs out inside the first,
+        // which keeps its incumbent; the second gets no nodes at all and
+        // takes its fallbacks.
+        let mut m = Model::new();
+        let first = chain(&mut m, 12);
+        let second = chain(&mut m, 3);
+        for &(_, dear) in first.iter().chain(&second) {
+            m.set_fallback(dear);
+        }
+        let full = m.solve(SolveLimits::default()).unwrap();
+        assert!(full.proven_optimal);
+        assert_eq!(full.fallback_components, 0);
+        // 14 nodes reach a first leaf of the 12-chain but cannot prove it.
+        let mut solo = Model::new();
+        let _ = chain(&mut solo, 12);
+        let cut = solo.solve(SolveLimits { max_nodes: 14 }).unwrap();
+        assert!(!cut.proven_optimal && cut.fallback_components == 0);
+
+        let s = m.solve(SolveLimits { max_nodes: 14 }).unwrap();
+        assert!(!s.proven_optimal);
+        assert_eq!(s.fallback_components, 1);
+        // The first chain's incumbent is a real search result: some cheap
+        // option survives, unlike the all-fallback assignment.
+        assert!(first.iter().any(|&(cheap, _)| s.is_chosen(cheap)));
+        for &(cheap, dear) in &second {
+            assert!(s.is_chosen(dear) && !s.is_chosen(cheap));
+        }
+        let expect = sum_ordered(s.chosen.iter().map(|&v| m.cost(v)));
+        assert!((s.objective - expect).abs() < 1e-9);
+
+        // Without fallbacks the same cut reports the node limit.
+        let mut bare = Model::new();
+        let _ = chain(&mut bare, 12);
+        let _ = chain(&mut bare, 3);
+        assert!(matches!(
+            bare.solve(SolveLimits { max_nodes: 14 }),
+            Err(SolveError::NodeLimit { .. })
+        ));
+    }
+
+    #[test]
+    fn conflicting_fallbacks_are_not_taken() {
+        let mut m = Model::new();
+        let pairs = chain(&mut m, 8);
+        for &(cheap, _) in &pairs {
+            m.set_fallback(cheap);
+        }
+        assert!(matches!(
+            m.solve(SolveLimits { max_nodes: 0 }),
+            Err(SolveError::NodeLimit { .. })
+        ));
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::route::{net_pin_nodes, NetRoute, Routing};
 use crp_grid::{Edge, RouteGrid};
 use crp_netlist::{net_hpwl, Design, NetId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
 
 /// Tunables of the global router.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,7 +52,11 @@ impl Default for RouterConfig {
 #[derive(Debug, Clone)]
 pub struct GlobalRouter {
     config: RouterConfig,
-    history: BTreeMap<Edge, f64>,
+    /// PathFinder history per planar edge, indexed by [`RouteGrid::slot`]
+    /// on a grid of dimensions `history_dims`. Empty until the first RRR
+    /// round.
+    history: Vec<f64>,
+    history_dims: (u16, u16, u16),
 }
 
 impl GlobalRouter {
@@ -62,7 +65,8 @@ impl GlobalRouter {
     pub fn new(config: RouterConfig) -> GlobalRouter {
         GlobalRouter {
             config,
-            history: BTreeMap::new(),
+            history: Vec::new(),
+            history_dims: (0, 0, 0),
         }
     }
 
@@ -74,6 +78,10 @@ impl GlobalRouter {
 
     /// Routes every net of `design` from scratch, committing usage to
     /// `grid`, then runs rip-up-and-reroute rounds on overflowed nets.
+    ///
+    /// The RRR history carries over between calls on grids of the same
+    /// dimensions; on a grid of other dimensions the router routes without
+    /// it until an RRR round starts a fresh one.
     pub fn route_all(&mut self, design: &Design, grid: &mut RouteGrid) -> Routing {
         let mut routing = Routing::with_nets(design.num_nets());
 
@@ -82,7 +90,8 @@ impl GlobalRouter {
         order.sort_by_key(|&n| (net_hpwl(design, n), n));
         for net in order {
             let pins = pin_nodes(design, grid, net);
-            let route = pattern_route_tree(grid, &pins, &self.history, self.config.hist_weight);
+            let route =
+                pattern_route_tree(grid, &pins, self.history(grid), self.config.hist_weight);
             route.commit(grid);
             routing.routes[net.index()] = route;
         }
@@ -130,14 +139,13 @@ impl GlobalRouter {
             .map(|n| (n, routing.routes[n.index()].cost(grid)))
             .collect();
         order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let empty = BTreeMap::new();
         let mut improved = false;
         for (net, _) in order {
             let old = std::mem::take(&mut routing.routes[net.index()]);
             old.uncommit(grid);
             let old_cost = old.cost(grid);
             let pins = pin_nodes(design, grid, net);
-            let fresh = pattern_route_tree(grid, &pins, &empty, 0.0);
+            let fresh = pattern_route_tree(grid, &pins, &[], 0.0);
             let fresh_cost = fresh.cost(grid);
             let keep = if fresh_cost < old_cost { fresh } else { old };
             if fresh_cost < old_cost {
@@ -153,15 +161,22 @@ impl GlobalRouter {
     /// overflow (nothing to do).
     fn rrr_round(&mut self, design: &Design, grid: &mut RouteGrid, routing: &mut Routing) -> bool {
         // Find overflowed edges and bump their history.
-        let mut overflowed: HashSet<Edge> = HashSet::new();
-        for e in grid.planar_edges().collect::<Vec<_>>() {
+        if self.history(grid).is_empty() {
+            self.history = vec![0.0; grid.num_slots()];
+            self.history_dims = grid.dims();
+        }
+        let mut overflowed = vec![false; grid.num_slots()];
+        let mut any = false;
+        for e in grid.planar_edges() {
             let of = grid.overflow(e);
-            if of > 0.0 {
-                overflowed.insert(e);
-                *self.history.entry(e).or_insert(0.0) += self.config.hist_increment * of;
+            if let (Edge::Planar { layer, x, y }, true) = (e, of > 0.0) {
+                let i = grid.slot(layer, x, y);
+                overflowed[i] = true;
+                self.history[i] += self.config.hist_increment * of;
+                any = true;
             }
         }
-        if overflowed.is_empty() {
+        if !any {
             return false;
         }
 
@@ -170,9 +185,13 @@ impl GlobalRouter {
             .net_ids()
             .filter(|&n| {
                 routing.routes[n.index()]
-                    .edges()
+                    .segs
                     .iter()
-                    .any(|e| overflowed.contains(e))
+                    .flat_map(|s| s.edges())
+                    .any(|e| match e {
+                        Edge::Planar { layer, x, y } => overflowed[grid.slot(layer, x, y)],
+                        Edge::Via { .. } => false,
+                    })
             })
             .map(|n| (n, routing.routes[n.index()].cost(grid)))
             .collect();
@@ -204,7 +223,7 @@ impl GlobalRouter {
     ) {
         routing.routes[net.index()].uncommit(grid);
         let pins = pin_nodes(design, grid, net);
-        let route = pattern_route_tree(grid, &pins, &BTreeMap::new(), 0.0);
+        let route = pattern_route_tree(grid, &pins, &[], 0.0);
         route.commit(grid);
         routing.routes[net.index()] = route;
     }
@@ -227,7 +246,7 @@ impl GlobalRouter {
                 .iter()
                 .map(|&(x, y, l)| PinNode::new(x, y, l))
                 .collect();
-            pattern_route_tree(grid, &pn, &self.history, self.config.hist_weight)
+            pattern_route_tree(grid, &pn, self.history(grid), self.config.hist_weight)
         });
         route.commit(grid);
         routing.routes[net.index()] = route;
@@ -247,7 +266,7 @@ impl GlobalRouter {
                 grid,
                 &component,
                 &remaining,
-                &self.history,
+                self.history(grid),
                 self.config.hist_weight,
             )?;
             // crp-lint: allow(no-panic-paths, maze_route returns None instead
@@ -279,6 +298,16 @@ impl GlobalRouter {
     /// Resets the accumulated RRR history.
     pub fn clear_history(&mut self) {
         self.history.clear();
+    }
+
+    /// The RRR history if it was recorded on a grid shaped like `grid`,
+    /// else none.
+    fn history(&self, grid: &RouteGrid) -> &[f64] {
+        if self.history_dims == grid.dims() {
+            &self.history
+        } else {
+            &[]
+        }
     }
 }
 

@@ -253,7 +253,7 @@ mod tests {
             ],
         ];
         for pins in cases {
-            let greedy = pattern_route_tree(&g, &pins, &BTreeMap::new(), 0.0);
+            let greedy = pattern_route_tree(&g, &pins, &[], 0.0);
             let dp = reassign_layers(&g, &greedy, &pins);
             let nodes: Vec<(u16, u16, u16)> = pins.iter().map(|p| (p.x, p.y, p.layer)).collect();
             assert!(dp.connects(&nodes), "DP broke connectivity for {pins:?}");
@@ -270,7 +270,7 @@ mod tests {
     fn dp_preserves_2d_geometry() {
         let g = grid();
         let pins = vec![PinNode::new(2, 2, 0), PinNode::new(9, 7, 0)];
-        let greedy = pattern_route_tree(&g, &pins, &BTreeMap::new(), 0.0);
+        let greedy = pattern_route_tree(&g, &pins, &[], 0.0);
         let dp = reassign_layers(&g, &greedy, &pins);
         let planar = |r: &NetRoute| {
             let mut v: Vec<((u16, u16), (u16, u16))> =
@@ -313,7 +313,7 @@ mod tests {
             PinNode::new(4, 9, 0),
             PinNode::new(8, 8, 0),
         ];
-        let greedy = pattern_route_tree(&g, &pins, &BTreeMap::new(), 0.0);
+        let greedy = pattern_route_tree(&g, &pins, &[], 0.0);
         let dp = reassign_layers(&g, &greedy, &pins);
         let nodes: Vec<(u16, u16, u16)> = pins.iter().map(|p| (p.x, p.y, p.layer)).collect();
         assert!(dp.connects(&nodes));

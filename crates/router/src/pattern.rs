@@ -37,7 +37,8 @@ impl PinNode {
 /// Extra per-edge cost (PathFinder-style history), optional.
 pub(crate) struct CostCtx<'a> {
     pub grid: &'a RouteGrid,
-    pub history: Option<&'a BTreeMap<Edge, f64>>,
+    /// One value per planar edge, indexed by [`RouteGrid::slot`].
+    pub history: Option<&'a [f64]>,
     pub hist_weight: f64,
     /// Per-edge demand adjustment (CR&P self-usage discount), optional:
     /// sorted by edge, one entry per edge.
@@ -59,7 +60,7 @@ impl<'a> CostCtx<'a> {
 
     pub(crate) fn with_history(
         grid: &'a RouteGrid,
-        history: &'a BTreeMap<Edge, f64>,
+        history: &'a [f64],
         hist_weight: f64,
     ) -> CostCtx<'a> {
         CostCtx {
@@ -86,10 +87,8 @@ impl<'a> CostCtx<'a> {
             Some(d) => discounted_cost(self.grid, d, e),
             None => self.grid.cost(e),
         };
-        if let Some(h) = self.history {
-            if let Some(&v) = h.get(&e) {
-                c += self.hist_weight * v;
-            }
+        if let (Some(h), Edge::Planar { layer, x, y }) = (self.history, e) {
+            c += self.hist_weight * h[self.grid.slot(layer, x, y)];
         }
         c
     }
@@ -250,18 +249,28 @@ fn build_via_stacks(segs: &[RouteSeg], pins: &[PinNode]) -> Vec<ViaStack> {
 /// assignment, without committing anything to the grid.
 ///
 /// `history` adds PathFinder-style penalties on edges the global router
-/// has learned to avoid; pass an empty map (or use [`price_net`]) for the
+/// has learned to avoid: one value per planar edge, indexed by
+/// [`RouteGrid::slot`]. Pass an empty slice (or use [`price_net`]) for the
 /// pure Eq. 10 pricing of Algorithm 3.
+///
+/// # Panics
+///
+/// Panics if `history` is neither empty nor [`RouteGrid::num_slots`] long.
 #[must_use]
 pub fn pattern_route_tree(
     grid: &RouteGrid,
     pins: &[PinNode],
-    history: &BTreeMap<Edge, f64>,
+    history: &[f64],
     hist_weight: f64,
 ) -> NetRoute {
     let ctx = if history.is_empty() {
         CostCtx::new(grid)
     } else {
+        assert_eq!(
+            history.len(),
+            grid.num_slots(),
+            "history does not match the grid"
+        );
         CostCtx::with_history(grid, history, hist_weight)
     };
     route_with_ctx(&ctx, pins)
@@ -372,29 +381,22 @@ mod tests {
         RouteGrid::new(&b.build(), GridConfig::default())
     }
 
-    fn pins_of(route: &NetRoute) -> Vec<(u16, u16, u16)> {
-        // helper not needed; kept minimal
-        let _ = route;
-        vec![]
-    }
-
     #[test]
     fn straight_connection_is_single_segment() {
         let g = grid();
         let pins = [PinNode::new(2, 3, 0), PinNode::new(8, 3, 0)];
-        let r = pattern_route_tree(&g, &pins, &BTreeMap::new(), 0.0);
+        let r = pattern_route_tree(&g, &pins, &[], 0.0);
         assert_eq!(r.segs.len(), 1);
         assert!(r.segs[0].is_horizontal());
         assert_eq!(r.wirelength(), 6);
         assert!(r.connects(&[(2, 3, 0), (8, 3, 0)]));
-        let _ = pins_of(&r);
     }
 
     #[test]
     fn l_connection_connects_and_uses_two_segments() {
         let g = grid();
         let pins = [PinNode::new(1, 1, 0), PinNode::new(6, 9, 0)];
-        let r = pattern_route_tree(&g, &pins, &BTreeMap::new(), 0.0);
+        let r = pattern_route_tree(&g, &pins, &[], 0.0);
         assert!(r.connects(&[(1, 1, 0), (6, 9, 0)]));
         assert_eq!(r.wirelength(), 5 + 8);
         assert!(r.via_count() >= 2, "pins must via up from M1");
@@ -409,7 +411,7 @@ mod tests {
             PinNode::new(5, 9, 0),
             PinNode::new(12, 12, 0),
         ];
-        let r = pattern_route_tree(&g, &pins, &BTreeMap::new(), 0.0);
+        let r = pattern_route_tree(&g, &pins, &[], 0.0);
         let nodes: Vec<(u16, u16, u16)> = pins.iter().map(|p| (p.x, p.y, p.layer)).collect();
         assert!(r.connects(&nodes));
     }
@@ -418,7 +420,7 @@ mod tests {
     fn same_gcell_pins_need_no_wiring() {
         let g = grid();
         let pins = [PinNode::new(4, 4, 0), PinNode::new(4, 4, 0)];
-        let r = pattern_route_tree(&g, &pins, &BTreeMap::new(), 0.0);
+        let r = pattern_route_tree(&g, &pins, &[], 0.0);
         assert!(r.is_empty());
     }
 
@@ -426,7 +428,7 @@ mod tests {
     fn pins_on_different_layers_same_gcell_get_stack() {
         let g = grid();
         let pins = [PinNode::new(4, 4, 0), PinNode::new(4, 4, 3)];
-        let r = pattern_route_tree(&g, &pins, &BTreeMap::new(), 0.0);
+        let r = pattern_route_tree(&g, &pins, &[], 0.0);
         assert!(r.segs.is_empty());
         assert_eq!(r.via_count(), 3);
         assert!(r.connects(&[(4, 4, 0), (4, 4, 3)]));
@@ -448,7 +450,7 @@ mod tests {
             }
         }
         let pins = [PinNode::new(1, 1, 0), PinNode::new(8, 8, 0)];
-        let r = pattern_route_tree(&g, &pins, &BTreeMap::new(), 0.0);
+        let r = pattern_route_tree(&g, &pins, &[], 0.0);
         // The chosen route must avoid row 1 horizontals.
         for s in &r.segs {
             if s.is_horizontal() {
@@ -470,7 +472,7 @@ mod tests {
             }
         }
         let pins = [PinNode::new(0, 5, 0), PinNode::new(12, 5, 0)];
-        let r = pattern_route_tree(&g, &pins, &BTreeMap::new(), 0.0);
+        let r = pattern_route_tree(&g, &pins, &[], 0.0);
         assert_eq!(r.segs.len(), 1);
         assert_ne!(
             r.segs[0].layer, 1,
@@ -481,11 +483,11 @@ mod tests {
     #[test]
     fn history_penalty_steers_route() {
         let g = grid();
-        let mut hist = BTreeMap::new();
+        let mut hist = vec![0.0; g.num_slots()];
         // Penalize the direct row between the pins.
         for x in 2..8 {
             for l in 0..9u16 {
-                hist.insert(Edge::planar(l, x, 3), 100.0);
+                hist[g.slot(l, x, 3)] = 100.0;
             }
         }
         let r = pattern_route_tree(
@@ -549,7 +551,7 @@ mod tests {
                 let g = grid();
                 let nodes: Vec<PinNode> =
                     pins.iter().map(|&(x, y, l)| PinNode::new(x, y, l)).collect();
-                let r = pattern_route_tree(&g, &nodes, &BTreeMap::new(), 0.0);
+                let r = pattern_route_tree(&g, &nodes, &[], 0.0);
                 let mut want: Vec<(u16, u16, u16)> =
                     pins.to_vec();
                 want.sort_unstable();
@@ -564,7 +566,7 @@ mod tests {
                 let mut g = grid();
                 let nodes: Vec<PinNode> =
                     pins.iter().map(|&(x, y, l)| PinNode::new(x, y, l)).collect();
-                let r = pattern_route_tree(&g, &nodes, &BTreeMap::new(), 0.0);
+                let r = pattern_route_tree(&g, &nodes, &[], 0.0);
                 let wire_before = g.total_wire_usage();
                 let via_before = g.total_via_endpoints();
                 r.commit(&mut g);
@@ -580,7 +582,7 @@ mod tests {
                 let g = grid();
                 let nodes: Vec<PinNode> =
                     pins.iter().map(|&(x, y, l)| PinNode::new(x, y, l)).collect();
-                let r = pattern_route_tree(&g, &nodes, &BTreeMap::new(), 0.0);
+                let r = pattern_route_tree(&g, &nodes, &[], 0.0);
                 let p = price_net(&g, &nodes);
                 prop_assert!((p - r.cost(&g)).abs() < 1e-9);
             }

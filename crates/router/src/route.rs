@@ -183,9 +183,7 @@ impl NetRoute {
             }
         }
         for v in &self.vias {
-            for l in v.lo..v.hi {
-                grid.add_via(v.x, v.y, l);
-            }
+            grid.add_via_stack(v.x, v.y, v.lo, v.hi);
         }
     }
 
@@ -198,9 +196,7 @@ impl NetRoute {
             }
         }
         for v in &self.vias {
-            for l in v.lo..v.hi {
-                grid.remove_via(v.x, v.y, l);
-            }
+            grid.remove_via_stack(v.x, v.y, v.lo, v.hi);
         }
     }
 
