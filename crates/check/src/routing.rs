@@ -2,7 +2,7 @@
 //! monotonicity.
 
 use crate::CheckViolation;
-use crp_grid::{Edge, RouteGrid};
+use crp_grid::{Edge, Gcell, RouteGrid};
 use crp_netlist::{Design, NetId};
 use crp_router::{net_pin_nodes, Routing};
 use std::collections::HashMap;
@@ -60,7 +60,7 @@ pub fn check_demand_totals(grid: &RouteGrid, routing: &Routing) -> Vec<CheckViol
 #[must_use]
 pub fn check_demand_exact(grid: &RouteGrid, routing: &Routing) -> Vec<CheckViolation> {
     let mut wires: HashMap<Edge, u64> = HashMap::new();
-    let mut endpoints: HashMap<(u16, u16, u16), u64> = HashMap::new();
+    let mut endpoints: HashMap<Gcell, u64> = HashMap::new();
     for route in &routing.routes {
         for seg in &route.segs {
             for e in seg.edges() {
@@ -69,8 +69,10 @@ pub fn check_demand_exact(grid: &RouteGrid, routing: &Routing) -> Vec<CheckViola
         }
         for via in &route.vias {
             for l in via.lo..via.hi {
-                *endpoints.entry((via.x, via.y, l)).or_insert(0) += 1;
-                *endpoints.entry((via.x, via.y, l + 1)).or_insert(0) += 1;
+                *endpoints.entry(Gcell::new(via.x, via.y, l)).or_insert(0) += 1;
+                *endpoints
+                    .entry(Gcell::new(via.x, via.y, l + 1))
+                    .or_insert(0) += 1;
             }
         }
     }
@@ -102,7 +104,7 @@ pub fn check_demand_exact(grid: &RouteGrid, routing: &Routing) -> Vec<CheckViola
         for x in 0..nx {
             for y in 0..ny {
                 let count = grid.via_count(layer, x, y);
-                let recount = endpoints.remove(&(x, y, layer)).unwrap_or(0) as f64;
+                let recount = endpoints.remove(&Gcell::new(x, y, layer)).unwrap_or(0) as f64;
                 if count != recount {
                     out.push(CheckViolation::ViaCountMismatch {
                         x,
@@ -115,7 +117,7 @@ pub fn check_demand_exact(grid: &RouteGrid, routing: &Routing) -> Vec<CheckViola
             }
         }
     }
-    for ((x, y, layer), count) in endpoints {
+    for (Gcell { x, y, layer }, count) in endpoints {
         out.push(CheckViolation::ViaCountMismatch {
             x,
             y,

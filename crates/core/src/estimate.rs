@@ -5,9 +5,9 @@ use crate::config::CrpConfig;
 use crate::parallel::run_indexed;
 use crate::price_cache::{PriceCache, PriceRegion};
 use crp_check::CheckViolation;
-use crp_grid::{Edge, RouteGrid};
+use crp_grid::{Edge, Gcell, RouteGrid};
 use crp_netlist::{Design, NetId};
-use crp_router::{pattern_route_tree_discounted, NetRoute, PinNode, Routing};
+use crp_router::{pattern_route_tree, NetRoute, Routing};
 use std::ops::Range;
 
 /// Reusable per-worker buffers for candidate pricing.
@@ -20,7 +20,7 @@ use std::ops::Range;
 #[derive(Debug, Default)]
 pub struct PriceScratch {
     nets: Vec<NetId>,
-    pins: Vec<PinNode>,
+    pins: Vec<Gcell>,
     discounts: Discounts,
 }
 
@@ -46,10 +46,10 @@ struct Discounts {
     entries: Vec<(Edge, f64)>,
     /// The net's route edges, one per occurrence.
     wires: Vec<Edge>,
-    /// The net's via endpoints `(x, y, layer)`, one per occurrence.
-    ends: Vec<(u16, u16, u16)>,
-    /// Via endpoints the net contributes per `(x, y, layer)`.
-    own: Vec<((u16, u16, u16), f64)>,
+    /// The net's via endpoints, one per occurrence.
+    ends: Vec<Gcell>,
+    /// Via endpoints the net contributes per gcell.
+    own: Vec<(Gcell, f64)>,
     /// Planar edges next to a gcell with one of the net's vias.
     affected: Vec<Edge>,
 }
@@ -102,8 +102,8 @@ impl Discounts {
         ends.clear();
         for v in &route.vias {
             for l in v.lo..v.hi {
-                ends.push((v.x, v.y, l));
-                ends.push((v.x, v.y, l + 1));
+                ends.push(Gcell::new(v.x, v.y, l));
+                ends.push(Gcell::new(v.x, v.y, l + 1));
             }
         }
         if ends.is_empty() {
@@ -112,14 +112,14 @@ impl Discounts {
         ends.sort_unstable();
         own.clear();
         tally(ends, 1.0, own);
-        let own_at = |k: (u16, u16, u16)| match own.binary_search_by_key(&k, |&(o, _)| o) {
+        let own_at = |k: Gcell| match own.binary_search_by_key(&k, |&(o, _)| o) {
             Ok(i) => own[i].1,
             Err(_) => 0.0,
         };
 
         let beta = grid.config().beta;
         affected.clear();
-        for &((x, y, l), _) in own.iter() {
+        for &(Gcell { x, y, layer: l }, _) in own.iter() {
             if !grid.is_routable(l) {
                 continue;
             }
@@ -139,8 +139,8 @@ impl Discounts {
             let (a, b) = e.endpoints(|l| grid.axis(l));
             let va = grid.via_count(a.layer, a.x, a.y);
             let vb = grid.via_count(b.layer, b.x, b.y);
-            let va2 = (va - own_at((a.x, a.y, a.layer))).max(0.0);
-            let vb2 = (vb - own_at((b.x, b.y, b.layer))).max(0.0);
+            let va2 = (va - own_at(a)).max(0.0);
+            let vb2 = (vb - own_at(b)).max(0.0);
             let delta = beta * (((va2 + vb2) / 2.0).sqrt() - ((va + vb) / 2.0).sqrt());
             if delta == 0.0 {
                 continue;
@@ -326,7 +326,7 @@ fn price_one_net(
             // crp-lint: allow(no-panic-paths, layer counts are validated to
             // fit u16 when the grid is built from the same design)
             let layer = u16::try_from(design.pin_layer(p)).expect("layer fits u16");
-            PinNode::new(x, y, layer)
+            Gcell::new(x, y, layer)
         }));
         scratch.pins.sort_unstable();
         scratch.pins.dedup();
@@ -344,7 +344,7 @@ fn price_one_net(
     let (price, routed) = if stay {
         let p = if congestion_aware {
             // Term order is the route's own edge order: fixed.
-            current.cost_discounted(grid, discount)
+            current.cost(grid, discount)
         } else {
             // Length-only pricing ([18]'s model: route length and
             // detours; no via or congestion term).
@@ -352,9 +352,9 @@ fn price_one_net(
         };
         (p, None)
     } else {
-        let route = pattern_route_tree_discounted(grid, &scratch.pins, discount);
+        let route = pattern_route_tree(grid, &scratch.pins, &[], 0.0, discount);
         let p = if congestion_aware {
-            route.cost_discounted(grid, discount)
+            route.cost(grid, discount)
         } else {
             route.wirelength() as f64
         };
@@ -558,7 +558,7 @@ mod tests {
         let mut clean = grid.clone();
         let route = routing.route(crp_netlist::NetId(0));
         route.uncommit(&mut clean);
-        let reference = route.cost(&clean);
+        let reference = route.cost(&clean, &[]);
         assert!(
             (priced - reference).abs() < 1e-6,
             "discounted stay price {priced} vs uncommitted-route cost {reference}"

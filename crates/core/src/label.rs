@@ -25,7 +25,7 @@ fn cell_routed_cost(design: &Design, net_costs: &[f64], cell: CellId) -> f64 {
 fn net_costs(design: &Design, grid: &RouteGrid, routing: &Routing) -> Vec<f64> {
     design
         .net_ids()
-        .map(|n| routing.route(n).cost(grid))
+        .map(|n| routing.route(n).cost(grid, &[]))
         .collect()
 }
 

@@ -25,9 +25,8 @@
 //! Lookups verify the stored pin set by equality (not just by hash), so
 //! a hash collision degrades to a miss, never to a wrong price.
 
-use crp_grid::RouteGrid;
+use crp_grid::{Gcell, RouteGrid};
 use crp_netlist::NetId;
-use crp_router::PinNode;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -52,7 +51,7 @@ struct Key {
 struct Entry {
     /// The exact sorted pin set this price was computed for (empty for
     /// stay entries); compared on lookup so hash collisions miss.
-    pins: Vec<PinNode>,
+    pins: Vec<Gcell>,
     /// Grid epoch at computation time.
     epoch: u64,
     /// Inclusive gcell region the price depends on (bbox + 1 margin).
@@ -129,7 +128,7 @@ impl PriceCache {
         }
     }
 
-    fn pin_hash(pins: &[PinNode]) -> u64 {
+    fn pin_hash(pins: &[Gcell]) -> u64 {
         let mut h = DefaultHasher::new();
         pins.hash(&mut h);
         h.finish()
@@ -146,13 +145,7 @@ impl PriceCache {
     /// pin set matches exactly and no gcell of the entry's region was
     /// touched after its epoch — i.e. only when a fresh computation would
     /// produce the identical value.
-    pub fn lookup(
-        &self,
-        grid: &RouteGrid,
-        net: NetId,
-        stay: bool,
-        pins: &[PinNode],
-    ) -> Option<f64> {
+    pub fn lookup(&self, grid: &RouteGrid, net: NetId, stay: bool, pins: &[Gcell]) -> Option<f64> {
         let key = Key {
             net,
             stay,
@@ -199,7 +192,7 @@ impl PriceCache {
         grid: &RouteGrid,
         net: NetId,
         stay: bool,
-        pins: &[PinNode],
+        pins: &[Gcell],
         region: PriceRegion,
         price: f64,
     ) {
@@ -295,7 +288,7 @@ mod tests {
         let mut g = grid();
         let cache = PriceCache::new();
         let net = NetId(3);
-        let pins = [PinNode::new(2, 2, 0), PinNode::new(5, 4, 0)];
+        let pins = [Gcell::new(2, 2, 0), Gcell::new(5, 4, 0)];
         assert_eq!(cache.lookup(&g, net, false, &pins), None);
         cache.store(&g, net, false, &pins, region((2, 2), (5, 4)), 42.5);
         assert_eq!(cache.lookup(&g, net, false, &pins), Some(42.5));
@@ -316,8 +309,8 @@ mod tests {
         let g = grid();
         let cache = PriceCache::new();
         let net = NetId(0);
-        let a = [PinNode::new(1, 1, 0), PinNode::new(3, 3, 0)];
-        let b = [PinNode::new(1, 1, 0), PinNode::new(4, 3, 0)];
+        let a = [Gcell::new(1, 1, 0), Gcell::new(3, 3, 0)];
+        let b = [Gcell::new(1, 1, 0), Gcell::new(4, 3, 0)];
         cache.store(&g, net, false, &a, region((1, 1), (3, 3)), 1.0);
         cache.store(&g, net, false, &b, region((1, 1), (4, 3)), 2.0);
         assert_eq!(cache.lookup(&g, net, false, &a), Some(1.0));
@@ -330,7 +323,7 @@ mod tests {
         let cache = PriceCache::new();
         let net = NetId(7);
         cache.store(&g, net, true, &[], region((0, 0), (2, 2)), 10.0);
-        let pins = [PinNode::new(0, 0, 0), PinNode::new(2, 2, 0)];
+        let pins = [Gcell::new(0, 0, 0), Gcell::new(2, 2, 0)];
         cache.store(&g, net, false, &pins, region((0, 0), (2, 2)), 20.0);
         assert_eq!(cache.lookup(&g, net, true, &[]), Some(10.0));
         assert_eq!(cache.lookup(&g, net, false, &pins), Some(20.0));
@@ -348,7 +341,7 @@ mod tests {
     fn clear_and_reset() {
         let g = grid();
         let cache = PriceCache::new();
-        let pins = [PinNode::new(1, 1, 0)];
+        let pins = [Gcell::new(1, 1, 0)];
         cache.store(&g, NetId(2), false, &pins, region((1, 1), (1, 1)), 3.0);
         assert_eq!(cache.lookup(&g, NetId(2), false, &pins), Some(3.0));
         cache.clear();
@@ -361,7 +354,7 @@ mod tests {
     fn region_margin_covers_neighbor_gcell() {
         let mut g = grid();
         let cache = PriceCache::new();
-        let pins = [PinNode::new(5, 5, 0)];
+        let pins = [Gcell::new(5, 5, 0)];
         cache.store(&g, NetId(4), false, &pins, region((5, 5), (5, 5)), 1.0);
         // Touch (6, 5): inside the +1 margin -> entry must die, because a
         // via there changes the demand of the edge (5,5)-(6,5).

@@ -66,14 +66,11 @@ impl DetailedRouter {
     pub fn run(&self, design: &Design, grid: &RouteGrid, routing: &Routing) -> DetailedResult {
         let (nx, ny, nl) = grid.dims();
         let gsize = grid.config().gcell_size;
-        let idx = |x: u16, y: u16, l: u16| -> usize {
-            (usize::from(l) * usize::from(ny) + usize::from(y)) * usize::from(nx) + usize::from(x)
-        };
 
         // Track capacity per (gcell, layer): the grid's planar-edge
         // capacity is tracks-per-gcell already; fixed usage (blockages)
         // consumes tracks up front.
-        let mut cap = vec![0u32; usize::from(nx) * usize::from(ny) * usize::from(nl)];
+        let mut cap = vec![0u32; grid.num_slots()];
         let mut occ = vec![0u32; cap.len()];
         for l in 0..nl {
             if !grid.is_routable(l) {
@@ -88,7 +85,7 @@ impl DetailedRouter {
                         Some(edge) => (grid.capacity(edge), grid.fixed_usage(edge)),
                         None => (0.0, 0.0),
                     };
-                    cap[idx(x, y, l)] = (c - f).max(0.0) as u32;
+                    cap[grid.slot(l, x, y)] = (c - f).max(0.0) as u32;
                 }
             }
         }
@@ -119,7 +116,7 @@ impl DetailedRouter {
             vias += route.via_count();
 
             for seg in &route.segs {
-                let realized = self.realize_segment(grid, &cap, &mut occ, &idx, seg, nl);
+                let realized = self.realize_segment(grid, &cap, &mut occ, seg, nl);
                 match realized {
                     Realized::OnLayer => {}
                     Realized::Bumped(delta) => {
@@ -162,7 +159,7 @@ impl DetailedRouter {
             }
             for y in 0..ny {
                 for x in 0..nx {
-                    let i = idx(x, y, l);
+                    let i = grid.slot(l, x, y);
                     if cap[i] > 0 && occ[i] > cap[i] + self.config.slack_tracks {
                         violations.push(Violation {
                             net: NetId(u32::MAX),
@@ -189,19 +186,18 @@ impl DetailedRouter {
         grid: &RouteGrid,
         cap: &[u32],
         occ: &mut [u32],
-        idx: &dyn Fn(u16, u16, u16) -> usize,
         seg: &RouteSeg,
         nl: u16,
     ) -> Realized {
         let fits = |occ: &[u32], layer: u16, slack: u32| -> bool {
             seg.gcells().all(|(x, y)| {
-                let i = idx(x, y, layer);
+                let i = grid.slot(layer, x, y);
                 occ[i] < cap[i] + slack
             })
         };
         let occupy = |occ: &mut [u32], layer: u16| {
             for (x, y) in seg.gcells() {
-                occ[idx(x, y, layer)] += 1;
+                occ[grid.slot(layer, x, y)] += 1;
             }
         };
 
@@ -230,7 +226,7 @@ impl DetailedRouter {
             let events = seg
                 .gcells()
                 .filter(|&(x, y)| {
-                    let i = idx(x, y, seg.layer);
+                    let i = grid.slot(seg.layer, x, y);
                     occ[i] >= cap[i]
                 })
                 .count() as u64;
@@ -241,7 +237,7 @@ impl DetailedRouter {
         let shorted: Vec<(u16, u16)> = seg
             .gcells()
             .filter(|&(x, y)| {
-                let i = idx(x, y, seg.layer);
+                let i = grid.slot(seg.layer, x, y);
                 occ[i] >= cap[i] + self.config.slack_tracks
             })
             .collect();

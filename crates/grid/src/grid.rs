@@ -102,9 +102,9 @@ impl RouteGrid {
     /// capacities from each layer's track pitch, and fixed usage from the
     /// design's blockages.
     ///
-    /// This is the panicking convenience wrapper around [`try_new`]
-    /// (`RouteGrid::try_new`) — the flow validates designs at parse time,
-    /// so construction failure here is a caller bug.
+    /// This is the panicking convenience wrapper around
+    /// [`try_new`](RouteGrid::try_new) — the flow validates designs at
+    /// parse time, so construction failure here is a caller bug.
     ///
     /// # Panics
     ///
@@ -120,8 +120,9 @@ impl RouteGrid {
         }
     }
 
-    /// Fallible grid construction: every precondition [`new`]
-    /// (`RouteGrid::new`) asserts is reported as a [`GridError`] instead.
+    /// Fallible grid construction: every precondition
+    /// [`new`](RouteGrid::new) asserts is reported as a [`GridError`]
+    /// instead.
     ///
     /// # Errors
     ///
@@ -761,13 +762,6 @@ impl RouteGrid {
         out
     }
 
-    /// Sum of Eq. 10 costs over a set of edges — the route cost
-    /// `cost_n^r` used throughout the paper.
-    #[must_use]
-    pub fn route_cost(&self, edges: &[Edge]) -> f64 {
-        edges.iter().map(|&e| self.cost(e)).sum()
-    }
-
     /// The gcell-center Manhattan distance between two gcells, in DBU.
     #[must_use]
     pub fn center_distance(&self, a: (u16, u16), b: (u16, u16)) -> Dbu {
@@ -970,14 +964,6 @@ mod tests {
         g.add_wire(Edge::planar(1, 18, 19));
         assert!(g.region_touched_since((18, 17), (40, 40), 0));
         assert!(!g.region_touched_since((0, 0), (40, 40), g.epoch()));
-    }
-
-    #[test]
-    fn route_cost_sums_edges() {
-        let g = grid();
-        let edges = [Edge::planar(1, 0, 0), Edge::via(0, 0, 1)];
-        let sum = g.route_cost(&edges);
-        assert!((sum - (g.cost(edges[0]) + g.cost(edges[1]))).abs() < 1e-12);
     }
 
     #[test]

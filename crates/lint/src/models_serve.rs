@@ -622,7 +622,7 @@ struct Source {
 
 /// A `crp_serve::server` pool worker against the change signal that
 /// wakes it. Thread `0` is the worker; every other thread is a
-/// [`Source`]. The worker cycles read → service → decide → (wait), and
+/// `Source`. The worker cycles read → service → decide → (wait), and
 /// the invariant, checked after every step, is **no lost wakeup**: the
 /// worker is never waiting on an unmoved generation while a change that
 /// has been pushed *and* announced by its bump is still unserviced —

@@ -78,7 +78,7 @@ const MAX_TRANSITIONS: u64 = 50_000_000;
 /// # Errors
 ///
 /// The first [`RaceViolation`] found, or a budget violation if the
-/// schedule tree exceeds [`MAX_TRANSITIONS`].
+/// schedule tree exceeds `MAX_TRANSITIONS`.
 pub fn explore<M: Model>(model: &M) -> Result<Explored, RaceViolation> {
     let mut stats = Explored::default();
     let mut schedule = Vec::new();

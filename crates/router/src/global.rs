@@ -1,9 +1,9 @@
 //! The global-routing driver: initial pattern pass + rip-up-and-reroute.
 
 use crate::maze::{maze_route, path_to_route};
-use crate::pattern::{pattern_route_tree, PinNode};
+use crate::pattern::pattern_route_tree;
 use crate::route::{net_pin_nodes, NetRoute, Routing};
-use crp_grid::{Edge, RouteGrid};
+use crp_grid::{Edge, Gcell, RouteGrid};
 use crp_netlist::{net_hpwl, Design, NetId};
 use serde::{Deserialize, Serialize};
 
@@ -16,8 +16,6 @@ pub struct RouterConfig {
     pub hist_weight: f64,
     /// History increment added per unit of overflow each round.
     pub hist_increment: f64,
-    /// Upper bound on nets rerouted per round (0 = unlimited).
-    pub max_reroutes_per_round: usize,
     /// Run the net-level DP layer assignment
     /// ([`reassign_layers`](crate::reassign_layers)) on every route after
     /// the cleanup passes. Off by default (the greedy assignment is what
@@ -37,7 +35,6 @@ impl Default for RouterConfig {
             rrr_rounds: 3,
             hist_weight: 2.0,
             hist_increment: 1.0,
-            max_reroutes_per_round: 0,
             layer_dp: false,
             cleanup_rounds: 2,
         }
@@ -89,9 +86,14 @@ impl GlobalRouter {
         let mut order: Vec<NetId> = design.net_ids().collect();
         order.sort_by_key(|&n| (net_hpwl(design, n), n));
         for net in order {
-            let pins = pin_nodes(design, grid, net);
-            let route =
-                pattern_route_tree(grid, &pins, self.history(grid), self.config.hist_weight);
+            let pins = net_pin_nodes(design, grid, net);
+            let route = pattern_route_tree(
+                grid,
+                &pins,
+                self.history(grid),
+                self.config.hist_weight,
+                &[],
+            );
             route.commit(grid);
             routing.routes[net.index()] = route;
         }
@@ -110,9 +112,9 @@ impl GlobalRouter {
             for net in design.net_ids() {
                 let old = std::mem::take(&mut routing.routes[net.index()]);
                 old.uncommit(grid);
-                let pins: Vec<PinNode> = pin_nodes(design, grid, net);
+                let pins = net_pin_nodes(design, grid, net);
                 let improved = crate::layerdp::reassign_layers(grid, &old, &pins);
-                let keep = if improved.cost(grid) < old.cost(grid) {
+                let keep = if improved.cost(grid, &[]) < old.cost(grid, &[]) {
                     improved
                 } else {
                     old
@@ -136,17 +138,17 @@ impl GlobalRouter {
         // Most expensive first: they have the most detours to shed.
         let mut order: Vec<(NetId, f64)> = design
             .net_ids()
-            .map(|n| (n, routing.routes[n.index()].cost(grid)))
+            .map(|n| (n, routing.routes[n.index()].cost(grid, &[])))
             .collect();
         order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut improved = false;
         for (net, _) in order {
             let old = std::mem::take(&mut routing.routes[net.index()]);
             old.uncommit(grid);
-            let old_cost = old.cost(grid);
-            let pins = pin_nodes(design, grid, net);
-            let fresh = pattern_route_tree(grid, &pins, &[], 0.0);
-            let fresh_cost = fresh.cost(grid);
+            let old_cost = old.cost(grid, &[]);
+            let pins = net_pin_nodes(design, grid, net);
+            let fresh = pattern_route_tree(grid, &pins, &[], 0.0, &[]);
+            let fresh_cost = fresh.cost(grid, &[]);
             let keep = if fresh_cost < old_cost { fresh } else { old };
             if fresh_cost < old_cost {
                 improved = true;
@@ -193,12 +195,9 @@ impl GlobalRouter {
                         Edge::Via { .. } => false,
                     })
             })
-            .map(|n| (n, routing.routes[n.index()].cost(grid)))
+            .map(|n| (n, routing.routes[n.index()].cost(grid, &[])))
             .collect();
         victims.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        if self.config.max_reroutes_per_round > 0 {
-            victims.truncate(self.config.max_reroutes_per_round);
-        }
 
         for (net, _) in victims {
             self.reroute_with_maze(design, grid, routing, net);
@@ -222,8 +221,8 @@ impl GlobalRouter {
         net: NetId,
     ) {
         routing.routes[net.index()].uncommit(grid);
-        let pins = pin_nodes(design, grid, net);
-        let route = pattern_route_tree(grid, &pins, &[], 0.0);
+        let pins = net_pin_nodes(design, grid, net);
+        let route = pattern_route_tree(grid, &pins, &[], 0.0, &[]);
         route.commit(grid);
         routing.routes[net.index()] = route;
     }
@@ -239,14 +238,16 @@ impl GlobalRouter {
     ) {
         routing.routes[net.index()].uncommit(grid);
         let pins = net_pin_nodes(design, grid, net);
+        // Fall back to a fresh pattern route if the maze cannot connect
+        // (cannot normally happen on a connected grid).
         let route = self.maze_route_net(grid, &pins).unwrap_or_else(|| {
-            // Fall back to a fresh pattern route if the maze cannot connect
-            // (cannot normally happen on a connected grid).
-            let pn: Vec<PinNode> = pins
-                .iter()
-                .map(|&(x, y, l)| PinNode::new(x, y, l))
-                .collect();
-            pattern_route_tree(grid, &pn, self.history(grid), self.config.hist_weight)
+            pattern_route_tree(
+                grid,
+                &pins,
+                self.history(grid),
+                self.config.hist_weight,
+                &[],
+            )
         });
         route.commit(grid);
         routing.routes[net.index()] = route;
@@ -254,13 +255,13 @@ impl GlobalRouter {
 
     /// Multi-terminal maze routing: grows a connected component from the
     /// first pin, connecting the nearest remaining pin each step.
-    fn maze_route_net(&self, grid: &RouteGrid, pins: &[(u16, u16, u16)]) -> Option<NetRoute> {
+    fn maze_route_net(&self, grid: &RouteGrid, pins: &[Gcell]) -> Option<NetRoute> {
         if pins.len() <= 1 {
             return Some(NetRoute::empty());
         }
         let mut route = NetRoute::empty();
-        let mut component: Vec<(u16, u16, u16)> = vec![pins[0]];
-        let mut remaining: Vec<(u16, u16, u16)> = pins[1..].to_vec();
+        let mut component: Vec<Gcell> = vec![pins[0]];
+        let mut remaining: Vec<Gcell> = pins[1..].to_vec();
         while !remaining.is_empty() {
             let path = maze_route(
                 grid,
@@ -276,12 +277,12 @@ impl GlobalRouter {
             // Absorb the fragment's nodes into the component.
             for seg in &fragment.segs {
                 for (x, y) in seg.gcells() {
-                    component.push((x, y, seg.layer));
+                    component.push(Gcell::new(x, y, seg.layer));
                 }
             }
             for v in &fragment.vias {
                 for l in v.lo..=v.hi {
-                    component.push((v.x, v.y, l));
+                    component.push(Gcell::new(v.x, v.y, l));
                 }
             }
             component.push(reached);
@@ -309,14 +310,6 @@ impl GlobalRouter {
             &[]
         }
     }
-}
-
-/// Pin nodes of a net as [`PinNode`]s (deduplicated).
-fn pin_nodes(design: &Design, grid: &RouteGrid, net: NetId) -> Vec<PinNode> {
-    net_pin_nodes(design, grid, net)
-        .into_iter()
-        .map(|(x, y, l)| PinNode::new(x, y, l))
-        .collect()
 }
 
 #[cfg(test)]

@@ -14,10 +14,10 @@
 //! ignored via a BFS spanning tree) and runs in
 //! `O(segments × layers²)`.
 
-use crate::pattern::PinNode;
-use crate::route::{NetRoute, RouteSeg, ViaStack};
+use crate::pattern::{build_via_stacks, CostCtx};
+use crate::route::{NetRoute, RouteSeg};
 use crp_geom::Axis;
-use crp_grid::{Edge, RouteGrid};
+use crp_grid::{Edge, Gcell, RouteGrid};
 use std::collections::{BTreeMap, HashMap};
 
 /// Re-assigns the layers of `route`'s segments with a joint tree DP and
@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, HashMap};
 /// Single-segment and empty routes are returned unchanged (modulo stack
 /// rebuild).
 #[must_use]
-pub fn reassign_layers(grid: &RouteGrid, route: &NetRoute, pins: &[PinNode]) -> NetRoute {
+pub fn reassign_layers(grid: &RouteGrid, route: &NetRoute, pins: &[Gcell]) -> NetRoute {
     if route.segs.is_empty() {
         return route.clone();
     }
@@ -58,7 +58,7 @@ pub fn reassign_layers(grid: &RouteGrid, route: &NetRoute, pins: &[PinNode]) -> 
     // below).
     let mut pin_at: HashMap<(u16, u16), Vec<u16>> = HashMap::new();
     for p in pins {
-        pin_at.entry((p.x, p.y)).or_default().push(p.layer);
+        pin_at.entry(p.xy()).or_default().push(p.layer);
     }
 
     // --- BFS spanning tree over segments -------------------------------------
@@ -91,14 +91,15 @@ pub fn reassign_layers(grid: &RouteGrid, route: &NetRoute, pins: &[PinNode]) -> 
             .filter(|&l| grid.is_routable(l) && grid.axis(l) == axis)
             .collect()
     };
+    let ctx = CostCtx::new(grid, &[], 0.0, &[]);
     let wire_cost = |s: &RouteSeg, l: u16| -> f64 {
         let proto = RouteSeg::new(l, s.from, s.to);
-        proto.edges().map(|e| grid.cost(e)).sum()
+        proto.edges().map(|e| ctx.edge_cost(e)).sum()
     };
     // Via stack cost between layers a and b at a gcell.
     let stack_cost = |x: u16, y: u16, a: u16, b: u16| -> f64 {
         let (lo, hi) = (a.min(b), a.max(b));
-        (lo..hi).map(|l| grid.cost(Edge::via(x, y, l))).sum()
+        (lo..hi).map(|l| ctx.edge_cost(Edge::via(x, y, l))).sum()
     };
     // Pin hookup cost for segment i on layer l: every pin at one of its
     // endpoints must reach l from its pin layer.
@@ -184,36 +185,13 @@ pub fn reassign_layers(grid: &RouteGrid, route: &NetRoute, pins: &[PinNode]) -> 
         .zip(&assigned)
         .map(|(s, &l)| RouteSeg::new(l, s.from, s.to))
         .collect();
-    let vias = rebuild_stacks(&new_segs, pins);
+    let vias = build_via_stacks(&new_segs, pins);
     let mut out = NetRoute {
         segs: new_segs,
         vias,
     };
     out.normalize();
     out
-}
-
-/// Via stacks connecting all segment endpoints and pin layers per gcell
-/// (same construction as the pattern router's).
-fn rebuild_stacks(segs: &[RouteSeg], pins: &[PinNode]) -> Vec<ViaStack> {
-    let mut layers_at: BTreeMap<(u16, u16), (u16, u16)> = BTreeMap::new();
-    let mut note = |x: u16, y: u16, l: u16| {
-        let e = layers_at.entry((x, y)).or_insert((l, l));
-        e.0 = e.0.min(l);
-        e.1 = e.1.max(l);
-    };
-    for s in segs {
-        note(s.from.0, s.from.1, s.layer);
-        note(s.to.0, s.to.1, s.layer);
-    }
-    for p in pins {
-        note(p.x, p.y, p.layer);
-    }
-    layers_at
-        .into_iter()
-        .filter(|&(_, (lo, hi))| hi > lo)
-        .map(|((x, y), (lo, hi))| ViaStack { x, y, lo, hi })
-        .collect()
 }
 
 #[cfg(test)]
@@ -231,37 +209,32 @@ mod tests {
         RouteGrid::new(&b.build(), GridConfig::default())
     }
 
-    fn route_cost(grid: &RouteGrid, r: &NetRoute) -> f64 {
-        r.cost(grid)
-    }
-
     #[test]
     fn dp_never_worse_than_greedy() {
         let g = grid();
-        let cases: Vec<Vec<PinNode>> = vec![
-            vec![PinNode::new(0, 0, 0), PinNode::new(8, 6, 0)],
+        let cases: Vec<Vec<Gcell>> = vec![
+            vec![Gcell::new(0, 0, 0), Gcell::new(8, 6, 0)],
             vec![
-                PinNode::new(1, 1, 0),
-                PinNode::new(7, 1, 0),
-                PinNode::new(4, 8, 0),
+                Gcell::new(1, 1, 0),
+                Gcell::new(7, 1, 0),
+                Gcell::new(4, 8, 0),
             ],
             vec![
-                PinNode::new(0, 0, 0),
-                PinNode::new(9, 0, 0),
-                PinNode::new(0, 9, 0),
-                PinNode::new(9, 9, 0),
+                Gcell::new(0, 0, 0),
+                Gcell::new(9, 0, 0),
+                Gcell::new(0, 9, 0),
+                Gcell::new(9, 9, 0),
             ],
         ];
         for pins in cases {
-            let greedy = pattern_route_tree(&g, &pins, &[], 0.0);
+            let greedy = pattern_route_tree(&g, &pins, &[], 0.0, &[]);
             let dp = reassign_layers(&g, &greedy, &pins);
-            let nodes: Vec<(u16, u16, u16)> = pins.iter().map(|p| (p.x, p.y, p.layer)).collect();
-            assert!(dp.connects(&nodes), "DP broke connectivity for {pins:?}");
+            assert!(dp.connects(&pins), "DP broke connectivity for {pins:?}");
             assert!(
-                route_cost(&g, &dp) <= route_cost(&g, &greedy) + 1e-9,
+                dp.cost(&g, &[]) <= greedy.cost(&g, &[]) + 1e-9,
                 "DP worse than greedy: {} vs {}",
-                route_cost(&g, &dp),
-                route_cost(&g, &greedy)
+                dp.cost(&g, &[]),
+                greedy.cost(&g, &[])
             );
         }
     }
@@ -269,8 +242,8 @@ mod tests {
     #[test]
     fn dp_preserves_2d_geometry() {
         let g = grid();
-        let pins = vec![PinNode::new(2, 2, 0), PinNode::new(9, 7, 0)];
-        let greedy = pattern_route_tree(&g, &pins, &[], 0.0);
+        let pins = vec![Gcell::new(2, 2, 0), Gcell::new(9, 7, 0)];
+        let greedy = pattern_route_tree(&g, &pins, &[], 0.0, &[]);
         let dp = reassign_layers(&g, &greedy, &pins);
         let planar = |r: &NetRoute| {
             let mut v: Vec<((u16, u16), (u16, u16))> =
@@ -308,15 +281,14 @@ mod tests {
             }
         }
         let pins = vec![
-            PinNode::new(0, 0, 0),
-            PinNode::new(9, 2, 0),
-            PinNode::new(4, 9, 0),
-            PinNode::new(8, 8, 0),
+            Gcell::new(0, 0, 0),
+            Gcell::new(9, 2, 0),
+            Gcell::new(4, 9, 0),
+            Gcell::new(8, 8, 0),
         ];
-        let greedy = pattern_route_tree(&g, &pins, &[], 0.0);
+        let greedy = pattern_route_tree(&g, &pins, &[], 0.0, &[]);
         let dp = reassign_layers(&g, &greedy, &pins);
-        let nodes: Vec<(u16, u16, u16)> = pins.iter().map(|p| (p.x, p.y, p.layer)).collect();
-        assert!(dp.connects(&nodes));
-        assert!(route_cost(&g, &dp) <= route_cost(&g, &greedy) + 1e-9);
+        assert!(dp.connects(&pins));
+        assert!(dp.cost(&g, &[]) <= greedy.cost(&g, &[]) + 1e-9);
     }
 }

@@ -16,8 +16,13 @@
 //!
 //! Rip-up-and-reroute rounds then target overflowed edges with a 3D **maze
 //! router** (Dijkstra with PathFinder-style history costs) until the
-//! solution converges. [`price_net`] exposes step 1–4 as a side-effect-free
-//! query used by CR&P to estimate `cost_c^p`.
+//! solution converges. [`pattern_route_tree`] runs steps 1–4 without
+//! touching the grid, and [`NetRoute::cost`] prices the result: CR&P
+//! estimates `cost_c^p` with that pair (Algorithm 3), under each net's
+//! self-usage discount. Every edge cost in the crate, in pattern choice,
+//! layer assignment, the layer DP, the maze and route pricing, comes from
+//! one Eq. 10 pricer with an optional history and an optional discount.
+//! Grid nodes are [`Gcell`](crp_grid::Gcell)s throughout.
 //!
 //! # Examples
 //!
@@ -54,7 +59,5 @@ mod route;
 pub use global::{GlobalRouter, RouterConfig};
 pub use layerdp::reassign_layers;
 pub use maze::maze_route;
-pub use pattern::{
-    pattern_route_tree, pattern_route_tree_discounted, price_net, price_net_discounted, PinNode,
-};
+pub use pattern::pattern_route_tree;
 pub use route::{net_pin_nodes, NetRoute, RouteSeg, Routing, ViaStack};

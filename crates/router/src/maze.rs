@@ -5,19 +5,17 @@
 //! Eq. 10 cost plus a PathFinder-style history penalty that grows on
 //! persistently overflowed edges.
 
+use crate::pattern::CostCtx;
 use crate::route::{NetRoute, RouteSeg, ViaStack};
 use crp_geom::Axis;
-use crp_grid::{Edge, RouteGrid};
+use crp_grid::{Edge, Gcell, RouteGrid};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// A search node: `(x, y, layer)`.
-type Node = (u16, u16, u16);
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct HeapItem {
     dist: f64,
-    node: Node,
+    node: Gcell,
 }
 
 impl Eq for HeapItem {}
@@ -54,24 +52,21 @@ impl PartialOrd for HeapItem {
 #[must_use]
 pub fn maze_route(
     grid: &RouteGrid,
-    sources: &[Node],
-    targets: &[Node],
+    sources: &[Gcell],
+    targets: &[Gcell],
     history: &[f64],
     hist_weight: f64,
-) -> Option<Vec<Node>> {
-    assert!(
-        history.is_empty() || history.len() == grid.num_slots(),
-        "history does not match the grid"
-    );
+) -> Option<Vec<Gcell>> {
+    let ctx = CostCtx::new(grid, history, hist_weight, &[]);
     if sources.is_empty() || targets.is_empty() {
         return None;
     }
     let (nx, ny, nl) = grid.dims();
     let n = grid.num_slots();
-    let idx = |(x, y, l): Node| grid.slot(l, x, y);
+    let idx = |g: Gcell| grid.slot(g.layer, g.x, g.y);
 
     let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<Node>> = vec![None; n];
+    let mut parent: Vec<Option<Gcell>> = vec![None; n];
     let mut heap = BinaryHeap::new();
     let mut is_target = vec![false; n];
     for &t in targets {
@@ -82,16 +77,7 @@ pub fn maze_route(
         heap.push(HeapItem { dist: 0.0, node: s });
     }
 
-    let use_history = hist_weight != 0.0 && !history.is_empty();
-    let edge_cost = |e: Edge| -> f64 {
-        let mut c = grid.cost(e);
-        if let (true, Edge::Planar { layer, x, y }) = (use_history, e) {
-            c += hist_weight * history[grid.slot(layer, x, y)];
-        }
-        c
-    };
-
-    let mut found: Option<Node> = None;
+    let mut found: Option<Gcell> = None;
     while let Some(HeapItem { dist: d, node }) = heap.pop() {
         let ni = idx(node);
         if d > dist[ni] {
@@ -101,9 +87,11 @@ pub fn maze_route(
             found = Some(node);
             break;
         }
-        let (x, y, l) = node;
-        let mut push = |to: Node, e: Edge| {
-            let c = edge_cost(e);
+        let Gcell { x, y, layer: l } = node;
+        // Moves are priced here rather than inside `push`: in this loop
+        // the pricer's empty discount folds away, and `push` stays small
+        // enough to inline.
+        let mut push = |to: Gcell, c: f64| {
             if !c.is_finite() {
                 return;
             }
@@ -120,28 +108,43 @@ pub fn maze_route(
             match grid.axis(l) {
                 Axis::X => {
                     if x + 1 < nx {
-                        push((x + 1, y, l), Edge::planar(l, x, y));
+                        push(
+                            Gcell::new(x + 1, y, l),
+                            ctx.edge_cost(Edge::planar(l, x, y)),
+                        );
                     }
                     if x > 0 {
-                        push((x - 1, y, l), Edge::planar(l, x - 1, y));
+                        push(
+                            Gcell::new(x - 1, y, l),
+                            ctx.edge_cost(Edge::planar(l, x - 1, y)),
+                        );
                     }
                 }
                 Axis::Y => {
                     if y + 1 < ny {
-                        push((x, y + 1, l), Edge::planar(l, x, y));
+                        push(
+                            Gcell::new(x, y + 1, l),
+                            ctx.edge_cost(Edge::planar(l, x, y)),
+                        );
                     }
                     if y > 0 {
-                        push((x, y - 1, l), Edge::planar(l, x, y - 1));
+                        push(
+                            Gcell::new(x, y - 1, l),
+                            ctx.edge_cost(Edge::planar(l, x, y - 1)),
+                        );
                     }
                 }
             }
         }
         // Via moves.
         if l + 1 < nl {
-            push((x, y, l + 1), Edge::via(x, y, l));
+            push(Gcell::new(x, y, l + 1), ctx.edge_cost(Edge::via(x, y, l)));
         }
         if l > 0 {
-            push((x, y, l - 1), Edge::via(x, y, l - 1));
+            push(
+                Gcell::new(x, y, l - 1),
+                ctx.edge_cost(Edge::via(x, y, l - 1)),
+            );
         }
     }
 
@@ -161,40 +164,39 @@ pub fn maze_route(
 /// Consecutive co-linear planar steps merge into one [`RouteSeg`];
 /// consecutive via steps merge into one [`ViaStack`].
 #[must_use]
-pub fn path_to_route(path: &[Node]) -> NetRoute {
+pub fn path_to_route(path: &[Gcell]) -> NetRoute {
     let mut route = NetRoute::empty();
     if path.len() < 2 {
         return route;
     }
     let mut i = 0;
     while i + 1 < path.len() {
-        let (x0, y0, l0) = path[i];
-        let (x1, y1, l1) = path[i + 1];
-        if l0 != l1 {
+        let (a, b) = (path[i], path[i + 1]);
+        if a.layer != b.layer {
             // Extend the via run as far as it goes.
             let mut j = i + 1;
-            while j + 1 < path.len() && path[j + 1].0 == x0 && path[j + 1].1 == y0 {
+            while j + 1 < path.len() && path[j + 1].xy() == a.xy() {
                 j += 1;
             }
-            let lo = path[i].2.min(path[j].2);
-            let hi = path[i].2.max(path[j].2);
+            let lo = a.layer.min(path[j].layer);
+            let hi = a.layer.max(path[j].layer);
             route.vias.push(ViaStack {
-                x: x0,
-                y: y0,
+                x: a.x,
+                y: a.y,
                 lo,
                 hi,
             });
             i = j;
         } else {
             // Extend the straight planar run.
-            let horiz = y0 == y1;
+            let horiz = a.y == b.y;
             let mut j = i + 1;
             while j + 1 < path.len() {
-                let (nx2, ny2, nl2) = path[j + 1];
-                if nl2 != l0 {
+                let next = path[j + 1];
+                if next.layer != a.layer {
                     break;
                 }
-                let run_continues = if horiz { ny2 == y0 } else { nx2 == x0 };
+                let run_continues = if horiz { next.y == a.y } else { next.x == a.x };
                 if !run_continues {
                     break;
                 }
@@ -202,10 +204,9 @@ pub fn path_to_route(path: &[Node]) -> NetRoute {
             }
             route
                 .segs
-                .push(RouteSeg::new(l0, (x0, y0), (path[j].0, path[j].1)));
+                .push(RouteSeg::new(a.layer, a.xy(), path[j].xy()));
             i = j;
         }
-        let _ = (x1, y1);
     }
     route.normalize();
     route
@@ -228,13 +229,14 @@ mod tests {
     #[test]
     fn finds_path_between_m1_pins() {
         let g = grid();
-        let path = maze_route(&g, &[(0, 0, 0)], &[(5, 5, 0)], &[], 0.0).unwrap();
-        assert_eq!(path.first(), Some(&(0, 0, 0)));
-        assert_eq!(path.last(), Some(&(5, 5, 0)));
+        let path =
+            maze_route(&g, &[Gcell::new(0, 0, 0)], &[Gcell::new(5, 5, 0)], &[], 0.0).unwrap();
+        assert_eq!(path.first(), Some(&Gcell::new(0, 0, 0)));
+        assert_eq!(path.last(), Some(&Gcell::new(5, 5, 0)));
         // Steps are unit moves.
         for w in path.windows(2) {
             let (a, b) = (w[0], w[1]);
-            let dd = a.0.abs_diff(b.0) + a.1.abs_diff(b.1) + a.2.abs_diff(b.2);
+            let dd = a.planar_distance(b) + u32::from(a.layer.abs_diff(b.layer));
             assert_eq!(dd, 1, "non-unit step {a:?} -> {b:?}");
         }
     }
@@ -242,32 +244,35 @@ mod tests {
     #[test]
     fn path_converts_to_connected_route() {
         let g = grid();
-        let path = maze_route(&g, &[(0, 0, 0)], &[(7, 3, 0)], &[], 0.0).unwrap();
+        let path =
+            maze_route(&g, &[Gcell::new(0, 0, 0)], &[Gcell::new(7, 3, 0)], &[], 0.0).unwrap();
         let route = path_to_route(&path);
-        assert!(route.connects(&[(0, 0, 0), (7, 3, 0)]));
+        assert!(route.connects(&[Gcell::new(0, 0, 0), Gcell::new(7, 3, 0)]));
         assert!(route.wirelength() >= 10);
     }
 
     #[test]
     fn same_node_is_empty_path() {
         let g = grid();
-        let path = maze_route(&g, &[(3, 3, 0)], &[(3, 3, 0)], &[], 0.0).unwrap();
-        assert_eq!(path, vec![(3, 3, 0)]);
+        let path =
+            maze_route(&g, &[Gcell::new(3, 3, 0)], &[Gcell::new(3, 3, 0)], &[], 0.0).unwrap();
+        assert_eq!(path, vec![Gcell::new(3, 3, 0)]);
         assert!(path_to_route(&path).is_empty());
     }
 
     #[test]
     fn empty_sources_or_targets_none() {
         let g = grid();
-        assert!(maze_route(&g, &[], &[(0, 0, 0)], &[], 0.0).is_none());
-        assert!(maze_route(&g, &[(0, 0, 0)], &[], &[], 0.0).is_none());
+        assert!(maze_route(&g, &[], &[Gcell::new(0, 0, 0)], &[], 0.0).is_none());
+        assert!(maze_route(&g, &[Gcell::new(0, 0, 0)], &[], &[], 0.0).is_none());
     }
 
     #[test]
     fn history_diverts_path() {
         let g = grid();
         // Free route from (0,5) to (9,5): straight along row 5.
-        let free = maze_route(&g, &[(0, 5, 0)], &[(9, 5, 0)], &[], 0.0).unwrap();
+        let free =
+            maze_route(&g, &[Gcell::new(0, 5, 0)], &[Gcell::new(9, 5, 0)], &[], 0.0).unwrap();
         let free_route = path_to_route(&free);
         // Now poison row 5 on every X layer.
         let mut hist = vec![0.0; g.num_slots()];
@@ -276,9 +281,16 @@ mod tests {
                 hist[g.slot(l, x, 5)] = 50.0;
             }
         }
-        let diverted = maze_route(&g, &[(0, 5, 0)], &[(9, 5, 0)], &hist, 1.0).unwrap();
+        let diverted = maze_route(
+            &g,
+            &[Gcell::new(0, 5, 0)],
+            &[Gcell::new(9, 5, 0)],
+            &hist,
+            1.0,
+        )
+        .unwrap();
         let div_route = path_to_route(&diverted);
-        assert!(div_route.connects(&[(0, 5, 0), (9, 5, 0)]));
+        assert!(div_route.connects(&[Gcell::new(0, 5, 0), Gcell::new(9, 5, 0)]));
         // The diverted route must leave row 5 somewhere.
         let leaves_row = div_route.segs.iter().any(|s| s.from.1 != 5 || s.to.1 != 5);
         assert!(
@@ -296,19 +308,19 @@ mod tests {
         /// edge: the reference the dense history must reproduce.
         fn maze_route_map(
             grid: &RouteGrid,
-            sources: &[Node],
-            targets: &[Node],
+            sources: &[Gcell],
+            targets: &[Gcell],
             history: &BTreeMap<Edge, f64>,
             hist_weight: f64,
-        ) -> Option<Vec<Node>> {
+        ) -> Option<Vec<Gcell>> {
             let (nx, ny, nl) = grid.dims();
-            let idx = |(x, y, l): Node| -> usize {
-                (usize::from(l) * usize::from(ny) + usize::from(y)) * usize::from(nx)
-                    + usize::from(x)
+            let idx = |g: Gcell| -> usize {
+                (usize::from(g.layer) * usize::from(ny) + usize::from(g.y)) * usize::from(nx)
+                    + usize::from(g.x)
             };
             let n = usize::from(nx) * usize::from(ny) * usize::from(nl);
             let mut dist = vec![f64::INFINITY; n];
-            let mut parent: Vec<Option<Node>> = vec![None; n];
+            let mut parent: Vec<Option<Gcell>> = vec![None; n];
             let mut heap = BinaryHeap::new();
             for &s in sources {
                 dist[idx(s)] = 0.0;
@@ -323,33 +335,33 @@ mod tests {
                     found = Some(node);
                     break;
                 }
-                let (x, y, l) = node;
-                let mut moves: Vec<(Node, Edge)> = Vec::new();
+                let Gcell { x, y, layer: l } = node;
+                let mut moves: Vec<(Gcell, Edge)> = Vec::new();
                 if grid.is_routable(l) {
                     match grid.axis(l) {
                         Axis::X => {
                             if x + 1 < nx {
-                                moves.push(((x + 1, y, l), Edge::planar(l, x, y)));
+                                moves.push((Gcell::new(x + 1, y, l), Edge::planar(l, x, y)));
                             }
                             if x > 0 {
-                                moves.push(((x - 1, y, l), Edge::planar(l, x - 1, y)));
+                                moves.push((Gcell::new(x - 1, y, l), Edge::planar(l, x - 1, y)));
                             }
                         }
                         Axis::Y => {
                             if y + 1 < ny {
-                                moves.push(((x, y + 1, l), Edge::planar(l, x, y)));
+                                moves.push((Gcell::new(x, y + 1, l), Edge::planar(l, x, y)));
                             }
                             if y > 0 {
-                                moves.push(((x, y - 1, l), Edge::planar(l, x, y - 1)));
+                                moves.push((Gcell::new(x, y - 1, l), Edge::planar(l, x, y - 1)));
                             }
                         }
                     }
                 }
                 if l + 1 < nl {
-                    moves.push(((x, y, l + 1), Edge::via(x, y, l)));
+                    moves.push((Gcell::new(x, y, l + 1), Edge::via(x, y, l)));
                 }
                 if l > 0 {
-                    moves.push(((x, y, l - 1), Edge::via(x, y, l - 1)));
+                    moves.push((Gcell::new(x, y, l - 1), Edge::via(x, y, l - 1)));
                 }
                 for (to, e) in moves {
                     let mut c = grid.cost(e);
@@ -404,7 +416,8 @@ mod tests {
                     }
                 }
                 let w = f64::from(weight) * 0.75;
-                let (a, b) = ends;
+                let ((ax, ay, al), (bx, by, bl)) = ends;
+                let (a, b) = (Gcell::new(ax, ay, al), Gcell::new(bx, by, bl));
                 let got = maze_route(&g, &[a], &[b], &dense, w);
                 let want = maze_route_map(&g, &[a], &[b], &map, w);
                 prop_assert_eq!(got, want);
@@ -415,7 +428,14 @@ mod tests {
     #[test]
     fn multi_source_picks_nearest() {
         let g = grid();
-        let path = maze_route(&g, &[(0, 0, 1), (8, 8, 1)], &[(9, 9, 1)], &[], 0.0).unwrap();
-        assert_eq!(path.first(), Some(&(8, 8, 1)));
+        let path = maze_route(
+            &g,
+            &[Gcell::new(0, 0, 1), Gcell::new(8, 8, 1)],
+            &[Gcell::new(9, 9, 1)],
+            &[],
+            0.0,
+        )
+        .unwrap();
+        assert_eq!(path.first(), Some(&Gcell::new(8, 8, 1)));
     }
 }

@@ -2,95 +2,92 @@
 //!
 //! This is the "fast 3D pattern route" of Algorithm 3: it turns a Steiner
 //! topology into concrete wire segments and via stacks without a search,
-//! pricing every choice with the congestion-aware Eq. 10 edge cost. The
-//! same code serves two callers:
+//! pricing every choice with the congestion-aware Eq. 10 edge cost.
+//! [`pattern_route_tree`] is the one entry point, and it serves two
+//! callers:
 //!
-//! - the global router's first routing pass ([`pattern_route_tree`]), and
-//! - the CR&P candidate pricer ([`price_net`]), which evaluates a
-//!   hypothetical pin placement without touching the grid.
+//! - the global router's routing passes, which may add the RRR history,
+//!   and
+//! - the CR&P candidate pricer, which routes a hypothetical pin placement
+//!   under the net's self-usage discount without touching the grid and
+//!   prices the result with [`NetRoute::cost`].
+//!
+//! [`CostCtx`] is the one Eq. 10 edge pricer of the crate: the pattern
+//! router, layer assignment, the layer DP, the maze and route pricing all
+//! read edge costs through it.
 
 use crate::route::{NetRoute, RouteSeg, ViaStack};
 use crp_geom::{sum_ordered, Axis, Point};
-use crp_grid::{Edge, RouteGrid};
+use crp_grid::{Edge, Gcell, RouteGrid};
 use crp_rsmt::rsmt;
 use std::collections::BTreeMap;
 
-/// A net terminal in gcell space: `(x, y)` gcell plus pin layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PinNode {
-    /// Gcell column.
-    pub x: u16,
-    /// Gcell row.
-    pub y: u16,
-    /// Pin layer (usually 0 = M1).
-    pub layer: u16,
-}
+/// Tiny per-layer bias so that equal-cost ties prefer lower layers.
+const LAYER_BIAS: f64 = 1e-6;
 
-impl PinNode {
-    /// Creates a pin node.
-    #[must_use]
-    pub const fn new(x: u16, y: u16, layer: u16) -> PinNode {
-        PinNode { x, y, layer }
-    }
-}
-
-/// Extra per-edge cost (PathFinder-style history), optional.
+/// Prices grid edges: the Eq. 10 cost, with each edge's demand shifted by
+/// its entry in an optional discount, plus an optional PathFinder-style
+/// history penalty. An empty slice means none of either.
 pub(crate) struct CostCtx<'a> {
-    pub grid: &'a RouteGrid,
+    pub(crate) grid: &'a RouteGrid,
     /// One value per planar edge, indexed by [`RouteGrid::slot`].
-    pub history: Option<&'a [f64]>,
-    pub hist_weight: f64,
-    /// Per-edge demand adjustment (CR&P self-usage discount), optional:
-    /// sorted by edge, one entry per edge.
-    pub discount: Option<&'a [(Edge, f64)]>,
-    /// Tiny per-layer bias so equal-cost ties prefer lower layers.
-    pub layer_bias: f64,
+    history: &'a [f64],
+    hist_weight: f64,
+    /// Per-edge demand deltas (CR&P's self-usage discount): sorted by
+    /// edge, one entry per edge.
+    discount: &'a [(Edge, f64)],
 }
 
 impl<'a> CostCtx<'a> {
-    pub(crate) fn new(grid: &'a RouteGrid) -> CostCtx<'a> {
-        CostCtx {
-            grid,
-            history: None,
-            hist_weight: 0.0,
-            discount: None,
-            layer_bias: 1e-6,
-        }
-    }
-
-    pub(crate) fn with_history(
+    /// A pricer over `grid`. A zero `hist_weight` drops the history, which
+    /// could only add zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history` is neither empty nor [`RouteGrid::num_slots`]
+    /// long.
+    pub(crate) fn new(
         grid: &'a RouteGrid,
         history: &'a [f64],
         hist_weight: f64,
+        discount: &'a [(Edge, f64)],
     ) -> CostCtx<'a> {
+        assert!(
+            history.is_empty() || history.len() == grid.num_slots(),
+            "history does not match the grid"
+        );
         CostCtx {
             grid,
-            history: Some(history),
+            history: if hist_weight == 0.0 { &[] } else { history },
             hist_weight,
-            discount: None,
-            layer_bias: 1e-6,
+            discount,
         }
     }
 
-    pub(crate) fn with_discount(grid: &'a RouteGrid, discount: &'a [(Edge, f64)]) -> CostCtx<'a> {
-        CostCtx {
-            grid,
-            history: None,
-            hist_weight: 0.0,
-            discount: Some(discount),
-            layer_bias: 1e-6,
-        }
-    }
-
+    /// The cost of `e`: one table load, plus a discount lookup or a
+    /// history add where one was given. Always inlined, so that a caller
+    /// whose pricer has no discount, such as the maze, keeps neither the
+    /// lookup nor its call.
+    #[inline(always)]
     pub(crate) fn edge_cost(&self, e: Edge) -> f64 {
-        let mut c = match self.discount {
-            Some(d) => discounted_cost(self.grid, d, e),
-            None => self.grid.cost(e),
+        let mut c = if self.discount.is_empty() {
+            self.grid.cost(e)
+        } else {
+            self.shifted_cost(e)
         };
-        if let (Some(h), Edge::Planar { layer, x, y }) = (self.history, e) {
-            c += self.hist_weight * h[self.grid.slot(layer, x, y)];
+        if let (false, Edge::Planar { layer, x, y }) = (self.history.is_empty(), e) {
+            c += self.hist_weight * self.history[self.grid.slot(layer, x, y)];
         }
         c
+    }
+
+    /// The Eq. 10 cost of `e` with its demand shifted by its entry in the
+    /// discount, or its plain cost when it has none.
+    fn shifted_cost(&self, e: Edge) -> f64 {
+        match self.discount.binary_search_by_key(&e, |&(d, _)| d) {
+            Ok(i) => self.grid.cost_adjusted(e, self.discount[i].1),
+            Err(_) => self.grid.cost(e),
+        }
     }
 
     /// Cheapest cost of crossing one gcell boundary along `axis` at the
@@ -103,7 +100,7 @@ impl<'a> CostCtx<'a> {
             if !self.grid.is_routable(l) || self.grid.axis(l) != axis {
                 continue;
             }
-            let c = self.edge_cost(Edge::planar(l, x, y)) + self.layer_bias * f64::from(l);
+            let c = self.edge_cost(Edge::planar(l, x, y)) + LAYER_BIAS * f64::from(l);
             if c < best {
                 best = c;
             }
@@ -210,7 +207,7 @@ fn assign_layer(ctx: &CostCtx<'_>, seg: Seg2) -> RouteSeg {
         }
         let proto = RouteSeg::new(l, seg.a, seg.b);
         let cost: f64 = sum_ordered(proto.edges().map(|e| ctx.edge_cost(e)))
-            + ctx.layer_bias * f64::from(l) * f64::from(proto.len().max(1));
+            + LAYER_BIAS * f64::from(l) * f64::from(proto.len().max(1));
         if cost < best_cost {
             best_cost = cost;
             best_layer = Some(l);
@@ -224,7 +221,7 @@ fn assign_layer(ctx: &CostCtx<'_>, seg: Seg2) -> RouteSeg {
 
 /// Builds via stacks that connect all segment endpoints (and pin layers)
 /// at each junction gcell.
-fn build_via_stacks(segs: &[RouteSeg], pins: &[PinNode]) -> Vec<ViaStack> {
+pub(crate) fn build_via_stacks(segs: &[RouteSeg], pins: &[Gcell]) -> Vec<ViaStack> {
     let mut layers_at: BTreeMap<(u16, u16), (u16, u16)> = BTreeMap::new();
     let mut note = |x: u16, y: u16, l: u16| {
         let e = layers_at.entry((x, y)).or_insert((l, l));
@@ -246,37 +243,51 @@ fn build_via_stacks(segs: &[RouteSeg], pins: &[PinNode]) -> Vec<ViaStack> {
 }
 
 /// Routes a whole net with Steiner topology + pattern routing + layer
-/// assignment, without committing anything to the grid.
+/// assignment, without committing anything to the grid. Followed by
+/// [`NetRoute::cost`], this is `getFlute` + `getPatternRoute3D` +
+/// `getCost()` of Algorithm 3.
 ///
-/// `history` adds PathFinder-style penalties on edges the global router
-/// has learned to avoid: one value per planar edge, indexed by
-/// [`RouteGrid::slot`]. Pass an empty slice (or use [`price_net`]) for the
-/// pure Eq. 10 pricing of Algorithm 3.
+/// Every choice is priced by the Eq. 10 edge cost with two optional
+/// terms, each off when its slice is empty:
+///
+/// - `history` adds PathFinder-style penalties, weighted by
+///   `hist_weight`, on edges the global router has learned to avoid: one
+///   value per planar edge, indexed by [`RouteGrid::slot`];
+/// - `discount` shifts the demand of the edges it lists: `(edge, demand
+///   delta)` pairs sorted by edge, one entry per edge. CR&P passes the
+///   negated self-usage of the net's current route, so a candidate is
+///   priced as if the net were ripped up.
 ///
 /// # Panics
 ///
 /// Panics if `history` is neither empty nor [`RouteGrid::num_slots`] long.
+///
+/// # Examples
+///
+/// ```
+/// # use crp_router::pattern_route_tree;
+/// # use crp_grid::{Gcell, GridConfig, RouteGrid};
+/// # use crp_netlist::DesignBuilder;
+/// # use crp_geom::Point;
+/// # let mut b = DesignBuilder::new("d", 1000);
+/// # b.site(200, 2000);
+/// # b.add_rows(15, 150, Point::new(0, 0));
+/// # let design = b.build();
+/// let grid = RouteGrid::new(&design, GridConfig::default());
+/// let price = |pins: &[Gcell]| pattern_route_tree(&grid, pins, &[], 0.0, &[]).cost(&grid, &[]);
+/// let near = price(&[Gcell::new(0, 0, 0), Gcell::new(1, 0, 0)]);
+/// let far = price(&[Gcell::new(0, 0, 0), Gcell::new(9, 9, 0)]);
+/// assert!(far > near);
+/// ```
 #[must_use]
 pub fn pattern_route_tree(
     grid: &RouteGrid,
-    pins: &[PinNode],
+    pins: &[Gcell],
     history: &[f64],
     hist_weight: f64,
+    discount: &[(Edge, f64)],
 ) -> NetRoute {
-    let ctx = if history.is_empty() {
-        CostCtx::new(grid)
-    } else {
-        assert_eq!(
-            history.len(),
-            grid.num_slots(),
-            "history does not match the grid"
-        );
-        CostCtx::with_history(grid, history, hist_weight)
-    };
-    route_with_ctx(&ctx, pins)
-}
-
-pub(crate) fn route_with_ctx(ctx: &CostCtx<'_>, pins: &[PinNode]) -> NetRoute {
+    let ctx = CostCtx::new(grid, history, hist_weight, discount);
     if pins.len() <= 1 {
         // Single-terminal (or empty) nets need no wiring.
         return NetRoute::empty();
@@ -295,8 +306,8 @@ pub(crate) fn route_with_ctx(ctx: &CostCtx<'_>, pins: &[PinNode]) -> NetRoute {
 
     let mut segs: Vec<RouteSeg> = Vec::new();
     for (pa, pb) in tree.segments() {
-        for s2 in pattern_route_edge(ctx, as_gcell(pa), as_gcell(pb)) {
-            segs.push(assign_layer(ctx, s2));
+        for s2 in pattern_route_edge(&ctx, as_gcell(pa), as_gcell(pb)) {
+            segs.push(assign_layer(&ctx, s2));
         }
     }
 
@@ -304,67 +315,6 @@ pub(crate) fn route_with_ctx(ctx: &CostCtx<'_>, pins: &[PinNode]) -> NetRoute {
     let mut route = NetRoute { segs, vias };
     route.normalize();
     route
-}
-
-/// Prices a hypothetical net topology: Steiner tree + 3D pattern route over
-/// the given pins, returning the Eq. 10 route cost **without committing**
-/// any usage. This is `getFlute` + `getPatternRoute3D` + `getCost()` of
-/// Algorithm 3 in one call.
-///
-/// # Examples
-///
-/// ```
-/// # use crp_router::{price_net, PinNode};
-/// # use crp_grid::{GridConfig, RouteGrid};
-/// # use crp_netlist::DesignBuilder;
-/// # use crp_geom::Point;
-/// # let mut b = DesignBuilder::new("d", 1000);
-/// # b.site(200, 2000);
-/// # b.add_rows(15, 150, Point::new(0, 0));
-/// # let design = b.build();
-/// let grid = RouteGrid::new(&design, GridConfig::default());
-/// let near = price_net(&grid, &[PinNode::new(0, 0, 0), PinNode::new(1, 0, 0)]);
-/// let far = price_net(&grid, &[PinNode::new(0, 0, 0), PinNode::new(9, 9, 0)]);
-/// assert!(far > near);
-/// ```
-#[must_use]
-pub fn price_net(grid: &RouteGrid, pins: &[PinNode]) -> f64 {
-    let ctx = CostCtx::new(grid);
-    let route = route_with_ctx(&ctx, pins);
-    route.cost(grid)
-}
-
-/// The Eq. 10 cost of `e` with its demand shifted by its entry in
-/// `discount` (sorted by edge, one entry per edge), or its plain cost when
-/// it has none.
-pub(crate) fn discounted_cost(grid: &RouteGrid, discount: &[(Edge, f64)], e: Edge) -> f64 {
-    match discount.binary_search_by_key(&e, |&(d, _)| d) {
-        Ok(i) => grid.cost_adjusted(e, discount[i].1),
-        Err(_) => grid.cost(e),
-    }
-}
-
-/// Like [`price_net`], but with a per-edge demand discount: `discount`
-/// holds `(edge, demand delta)` pairs, sorted by edge with one entry per
-/// edge, applied during both the routing search and the final pricing.
-/// CR&P passes the negated self-usage of the net's current route so the
-/// stay candidate is priced as if the net were ripped up — the comparison
-/// against move candidates is then unbiased.
-#[must_use]
-pub fn price_net_discounted(grid: &RouteGrid, pins: &[PinNode], discount: &[(Edge, f64)]) -> f64 {
-    pattern_route_tree_discounted(grid, pins, discount).cost_discounted(grid, discount)
-}
-
-/// Routes with the same demand discount as [`price_net_discounted`] and
-/// returns the route itself (for callers that need wirelength/via counts).
-#[must_use]
-pub fn pattern_route_tree_discounted(
-    grid: &RouteGrid,
-    pins: &[PinNode],
-    discount: &[(Edge, f64)],
-) -> NetRoute {
-    let ctx = CostCtx::with_discount(grid, discount);
-    route_with_ctx(&ctx, pins)
 }
 
 #[cfg(test)]
@@ -381,23 +331,29 @@ mod tests {
         RouteGrid::new(&b.build(), GridConfig::default())
     }
 
+    /// Algorithm 3's price of a pin set: the Eq. 10 cost of its fresh
+    /// pattern route.
+    fn price(g: &RouteGrid, pins: &[Gcell]) -> f64 {
+        pattern_route_tree(g, pins, &[], 0.0, &[]).cost(g, &[])
+    }
+
     #[test]
     fn straight_connection_is_single_segment() {
         let g = grid();
-        let pins = [PinNode::new(2, 3, 0), PinNode::new(8, 3, 0)];
-        let r = pattern_route_tree(&g, &pins, &[], 0.0);
+        let pins = [Gcell::new(2, 3, 0), Gcell::new(8, 3, 0)];
+        let r = pattern_route_tree(&g, &pins, &[], 0.0, &[]);
         assert_eq!(r.segs.len(), 1);
         assert!(r.segs[0].is_horizontal());
         assert_eq!(r.wirelength(), 6);
-        assert!(r.connects(&[(2, 3, 0), (8, 3, 0)]));
+        assert!(r.connects(&pins));
     }
 
     #[test]
     fn l_connection_connects_and_uses_two_segments() {
         let g = grid();
-        let pins = [PinNode::new(1, 1, 0), PinNode::new(6, 9, 0)];
-        let r = pattern_route_tree(&g, &pins, &[], 0.0);
-        assert!(r.connects(&[(1, 1, 0), (6, 9, 0)]));
+        let pins = [Gcell::new(1, 1, 0), Gcell::new(6, 9, 0)];
+        let r = pattern_route_tree(&g, &pins, &[], 0.0, &[]);
+        assert!(r.connects(&pins));
         assert_eq!(r.wirelength(), 5 + 8);
         assert!(r.via_count() >= 2, "pins must via up from M1");
     }
@@ -406,32 +362,31 @@ mod tests {
     fn multi_pin_net_connects_all_pins() {
         let g = grid();
         let pins = [
-            PinNode::new(0, 0, 0),
-            PinNode::new(10, 2, 0),
-            PinNode::new(5, 9, 0),
-            PinNode::new(12, 12, 0),
+            Gcell::new(0, 0, 0),
+            Gcell::new(10, 2, 0),
+            Gcell::new(5, 9, 0),
+            Gcell::new(12, 12, 0),
         ];
-        let r = pattern_route_tree(&g, &pins, &[], 0.0);
-        let nodes: Vec<(u16, u16, u16)> = pins.iter().map(|p| (p.x, p.y, p.layer)).collect();
-        assert!(r.connects(&nodes));
+        let r = pattern_route_tree(&g, &pins, &[], 0.0, &[]);
+        assert!(r.connects(&pins));
     }
 
     #[test]
     fn same_gcell_pins_need_no_wiring() {
         let g = grid();
-        let pins = [PinNode::new(4, 4, 0), PinNode::new(4, 4, 0)];
-        let r = pattern_route_tree(&g, &pins, &[], 0.0);
+        let pins = [Gcell::new(4, 4, 0), Gcell::new(4, 4, 0)];
+        let r = pattern_route_tree(&g, &pins, &[], 0.0, &[]);
         assert!(r.is_empty());
     }
 
     #[test]
     fn pins_on_different_layers_same_gcell_get_stack() {
         let g = grid();
-        let pins = [PinNode::new(4, 4, 0), PinNode::new(4, 4, 3)];
-        let r = pattern_route_tree(&g, &pins, &[], 0.0);
+        let pins = [Gcell::new(4, 4, 0), Gcell::new(4, 4, 3)];
+        let r = pattern_route_tree(&g, &pins, &[], 0.0, &[]);
         assert!(r.segs.is_empty());
         assert_eq!(r.via_count(), 3);
-        assert!(r.connects(&[(4, 4, 0), (4, 4, 3)]));
+        assert!(r.connects(&pins));
     }
 
     #[test]
@@ -449,15 +404,15 @@ mod tests {
                 }
             }
         }
-        let pins = [PinNode::new(1, 1, 0), PinNode::new(8, 8, 0)];
-        let r = pattern_route_tree(&g, &pins, &[], 0.0);
+        let pins = [Gcell::new(1, 1, 0), Gcell::new(8, 8, 0)];
+        let r = pattern_route_tree(&g, &pins, &[], 0.0, &[]);
         // The chosen route must avoid row 1 horizontals.
         for s in &r.segs {
             if s.is_horizontal() {
                 assert_ne!(s.from.1, 1, "router chose the congested row: {r:?}");
             }
         }
-        assert!(r.connects(&[(1, 1, 0), (8, 8, 0)]));
+        assert!(r.connects(&pins));
     }
 
     #[test]
@@ -471,8 +426,8 @@ mod tests {
                 g.add_wire(e);
             }
         }
-        let pins = [PinNode::new(0, 5, 0), PinNode::new(12, 5, 0)];
-        let r = pattern_route_tree(&g, &pins, &[], 0.0);
+        let pins = [Gcell::new(0, 5, 0), Gcell::new(12, 5, 0)];
+        let r = pattern_route_tree(&g, &pins, &[], 0.0, &[]);
         assert_eq!(r.segs.len(), 1);
         assert_ne!(
             r.segs[0].layer, 1,
@@ -490,23 +445,19 @@ mod tests {
                 hist[g.slot(l, x, 3)] = 100.0;
             }
         }
-        let r = pattern_route_tree(
-            &g,
-            &[PinNode::new(2, 3, 0), PinNode::new(8, 3, 0)],
-            &hist,
-            1.0,
-        );
+        let pins = [Gcell::new(2, 3, 0), Gcell::new(8, 3, 0)];
+        let r = pattern_route_tree(&g, &pins, &hist, 1.0, &[]);
         // Straight is the only pattern for aligned pins, but layer
         // assignment cannot escape (all layers penalized); the route is
         // still produced and connected.
-        assert!(r.connects(&[(2, 3, 0), (8, 3, 0)]));
+        assert!(r.connects(&pins));
     }
 
     #[test]
     fn price_is_positive_and_monotone_in_distance() {
         let g = grid();
-        let p0 = price_net(&g, &[PinNode::new(0, 0, 0), PinNode::new(2, 0, 0)]);
-        let p1 = price_net(&g, &[PinNode::new(0, 0, 0), PinNode::new(9, 0, 0)]);
+        let p0 = price(&g, &[Gcell::new(0, 0, 0), Gcell::new(2, 0, 0)]);
+        let p1 = price(&g, &[Gcell::new(0, 0, 0), Gcell::new(9, 0, 0)]);
         assert!(p0 > 0.0);
         assert!(p1 > p0);
     }
@@ -514,8 +465,8 @@ mod tests {
     #[test]
     fn price_rises_with_congestion() {
         let mut g = grid();
-        let pins = [PinNode::new(0, 5, 0), PinNode::new(10, 5, 0)];
-        let before = price_net(&g, &pins);
+        let pins = [Gcell::new(0, 5, 0), Gcell::new(10, 5, 0)];
+        let before = price(&g, &pins);
         // Congest every X layer along the row so no escape stays cheap.
         let (_, _, nl) = g.dims();
         for x in 0..13 {
@@ -531,7 +482,7 @@ mod tests {
                 }
             }
         }
-        let after = price_net(&g, &pins);
+        let after = price(&g, &pins);
         assert!(
             after > before,
             "congestion must raise the price: {before} -> {after}"
@@ -549,11 +500,10 @@ mod tests {
                 pins in proptest::collection::vec((0u16..13, 0u16..13, 0u16..3), 1..7)
             ) {
                 let g = grid();
-                let nodes: Vec<PinNode> =
-                    pins.iter().map(|&(x, y, l)| PinNode::new(x, y, l)).collect();
-                let r = pattern_route_tree(&g, &nodes, &[], 0.0);
-                let mut want: Vec<(u16, u16, u16)> =
-                    pins.to_vec();
+                let nodes: Vec<Gcell> =
+                    pins.iter().map(|&(x, y, l)| Gcell::new(x, y, l)).collect();
+                let r = pattern_route_tree(&g, &nodes, &[], 0.0, &[]);
+                let mut want = nodes.clone();
                 want.sort_unstable();
                 want.dedup();
                 prop_assert!(r.connects(&want), "disconnected route {:?} for {:?}", r, want);
@@ -564,9 +514,9 @@ mod tests {
                 pins in proptest::collection::vec((0u16..13, 0u16..13, 0u16..2), 2..5)
             ) {
                 let mut g = grid();
-                let nodes: Vec<PinNode> =
-                    pins.iter().map(|&(x, y, l)| PinNode::new(x, y, l)).collect();
-                let r = pattern_route_tree(&g, &nodes, &[], 0.0);
+                let nodes: Vec<Gcell> =
+                    pins.iter().map(|&(x, y, l)| Gcell::new(x, y, l)).collect();
+                let r = pattern_route_tree(&g, &nodes, &[], 0.0, &[]);
                 let wire_before = g.total_wire_usage();
                 let via_before = g.total_via_endpoints();
                 r.commit(&mut g);
@@ -580,11 +530,19 @@ mod tests {
                 pins in proptest::collection::vec((0u16..13, 0u16..13, 0u16..2), 2..5)
             ) {
                 let g = grid();
-                let nodes: Vec<PinNode> =
-                    pins.iter().map(|&(x, y, l)| PinNode::new(x, y, l)).collect();
-                let r = pattern_route_tree(&g, &nodes, &[], 0.0);
-                let p = price_net(&g, &nodes);
-                prop_assert!((p - r.cost(&g)).abs() < 1e-9);
+                let nodes: Vec<Gcell> =
+                    pins.iter().map(|&(x, y, l)| Gcell::new(x, y, l)).collect();
+                let r = pattern_route_tree(&g, &nodes, &[], 0.0, &[]);
+                let p = price(&g, &nodes);
+                prop_assert!((p - r.cost(&g, &[])).abs() < 1e-9);
+                // Routed and priced with a zero delta listed on every edge
+                // of the route, the net prices as with no discount at all.
+                let mut edges: Vec<Edge> = r.edges().collect();
+                edges.sort_unstable();
+                edges.dedup();
+                let zero: Vec<(Edge, f64)> = edges.into_iter().map(|e| (e, 0.0)).collect();
+                let z = pattern_route_tree(&g, &nodes, &[], 0.0, &zero).cost(&g, &zero);
+                prop_assert_eq!(z.to_bits(), p.to_bits());
             }
         }
     }
@@ -592,7 +550,7 @@ mod tests {
     #[test]
     fn empty_and_single_pin_price_zero() {
         let g = grid();
-        assert_eq!(price_net(&g, &[]), 0.0);
-        assert_eq!(price_net(&g, &[PinNode::new(3, 3, 0)]), 0.0);
+        assert_eq!(price(&g, &[]), 0.0);
+        assert_eq!(price(&g, &[Gcell::new(3, 3, 0)]), 0.0);
     }
 }

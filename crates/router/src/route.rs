@@ -1,10 +1,11 @@
 //! Route representation: segments, via stacks, and the routing state.
 
+use crate::pattern::CostCtx;
 use crp_geom::sum_ordered;
-use crp_grid::{Edge, RouteGrid};
+use crp_grid::{Edge, Gcell, RouteGrid};
 use crp_netlist::{Design, NetId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
 
 /// An axis-aligned straight wire on one layer, spanning whole gcells.
 ///
@@ -148,31 +149,24 @@ impl NetRoute {
         self.vias.iter().map(|v| u64::from(v.count())).sum()
     }
 
-    /// All grid edges (planar then via) of the route.
-    #[must_use]
-    pub fn edges(&self) -> Vec<Edge> {
-        let mut out: Vec<Edge> = self.segs.iter().flat_map(RouteSeg::edges).collect();
-        out.extend(self.vias.iter().flat_map(ViaStack::edges));
-        out
+    /// All grid edges of the route: each segment's planar edges, then each
+    /// stack's via edges.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.segs
+            .iter()
+            .flat_map(RouteSeg::edges)
+            .chain(self.vias.iter().flat_map(ViaStack::edges))
     }
 
-    /// The route cost `cost_n^r` — the sum of Eq. 10 edge costs.
+    /// The route cost `cost_n^r`: the Eq. 10 costs of its edges, summed in
+    /// [`edges`](NetRoute::edges) order. Each edge's demand is shifted by
+    /// its entry in `discount`, `(edge, demand delta)` pairs sorted by edge
+    /// with one entry per edge; pass an empty slice for the plain cost (see
+    /// [`pattern_route_tree`](crate::pattern_route_tree)).
     #[must_use]
-    pub fn cost(&self, grid: &RouteGrid) -> f64 {
-        sum_ordered(self.edges().iter().map(|&e| grid.cost(e)))
-    }
-
-    /// [`cost`](NetRoute::cost) with each edge's demand shifted by its
-    /// entry in `discount`: `(edge, demand delta)` pairs sorted by edge,
-    /// one entry per edge (see
-    /// [`price_net_discounted`](crate::price_net_discounted)).
-    #[must_use]
-    pub fn cost_discounted(&self, grid: &RouteGrid, discount: &[(Edge, f64)]) -> f64 {
-        sum_ordered(
-            self.edges()
-                .iter()
-                .map(|&e| crate::pattern::discounted_cost(grid, discount, e)),
-        )
+    pub fn cost(&self, grid: &RouteGrid, discount: &[(Edge, f64)]) -> f64 {
+        let ctx = CostCtx::new(grid, &[], 0.0, discount);
+        sum_ordered(self.edges().map(|e| ctx.edge_cost(e)))
     }
 
     /// Commits the route's usage to the grid.
@@ -202,77 +196,45 @@ impl NetRoute {
 
     /// Whether the route's 3D node graph connects all `pins`.
     ///
-    /// Pins are `(x, y, layer)` gcell nodes. An empty route is connected
-    /// iff all pins share one node. Used by tests and the evaluator's
-    /// open-net check (Eq. 2: every net must have a route).
+    /// Each segment joins its consecutive gcells on its layer, and each
+    /// stack its consecutive layers. An empty route is connected iff all
+    /// pins share one node. Used by tests and the evaluator's open-net
+    /// check (Eq. 2: every net must have a route).
     #[must_use]
-    pub fn connects(&self, pins: &[(u16, u16, u16)]) -> bool {
+    pub fn connects(&self, pins: &[Gcell]) -> bool {
         if pins.len() <= 1 {
             return true;
         }
-        // Collect all 3D nodes touched by the route.
-        let mut nodes: HashSet<(u16, u16, u16)> = HashSet::new();
-        for seg in &self.segs {
-            for (x, y) in seg.gcells() {
-                nodes.insert((x, y, seg.layer));
+        // Every node a pin or the route touches, numbered by rank.
+        let mut nodes: Vec<Gcell> = pins.to_vec();
+        for s in &self.segs {
+            nodes.extend(s.gcells().map(|(x, y)| Gcell::new(x, y, s.layer)));
+        }
+        for v in &self.vias {
+            nodes.extend((v.lo..=v.hi).map(|l| Gcell::new(v.x, v.y, l)));
+        }
+        nodes.sort_unstable();
+        nodes.dedup();
+        let rank = |g: Gcell| nodes.binary_search(&g).unwrap_or_else(|i| i);
+
+        let mut parent: Vec<usize> = (0..nodes.len()).collect();
+        let mut join = |a: Gcell, b: Gcell| {
+            let ra = root(&mut parent, rank(a));
+            let rb = root(&mut parent, rank(b));
+            parent[ra] = rb;
+        };
+        for s in &self.segs {
+            for ((x0, y0), (x1, y1)) in s.gcells().zip(s.gcells().skip(1)) {
+                join(Gcell::new(x0, y0, s.layer), Gcell::new(x1, y1, s.layer));
             }
         }
         for v in &self.vias {
-            for l in v.lo..=v.hi {
-                nodes.insert((v.x, v.y, l));
+            for l in v.lo..v.hi {
+                join(Gcell::new(v.x, v.y, l), Gcell::new(v.x, v.y, l + 1));
             }
         }
-        for &p in pins {
-            nodes.insert(p);
-        }
-        // Adjacency: planar neighbours on same layer if both on some shared
-        // segment edge; vias connect vertically. Simplest correct check:
-        // two nodes are adjacent if they differ by one step and the
-        // connecting edge is covered by a segment or stack.
-        let mut edge_set: BTreeSet<Edge> = BTreeSet::new();
-        for seg in &self.segs {
-            edge_set.extend(seg.edges());
-        }
-        for v in &self.vias {
-            edge_set.extend(v.edges());
-        }
-        type Node3 = (u16, u16, u16);
-        let mut adj: HashMap<Node3, Vec<Node3>> = HashMap::new();
-        for &e in &edge_set {
-            let (a, b) = match e {
-                Edge::Planar { layer, x, y } => {
-                    // Determine direction from some segment that covers it.
-                    // Horizontal if a segment with this layer and this edge
-                    // is horizontal: infer by probing both orientations.
-                    let h = self.segs.iter().any(|s| {
-                        s.layer == layer && s.edges().any(|se| se == e) && s.from.1 == s.to.1
-                    });
-                    if h {
-                        ((x, y, layer), (x + 1, y, layer))
-                    } else {
-                        ((x, y, layer), (x, y + 1, layer))
-                    }
-                }
-                Edge::Via { x, y, lower } => ((x, y, lower), (x, y, lower + 1)),
-            };
-            adj.entry(a).or_default().push(b);
-            adj.entry(b).or_default().push(a);
-        }
-        // BFS from the first pin.
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::new();
-        seen.insert(pins[0]);
-        queue.push_back(pins[0]);
-        while let Some(n) = queue.pop_front() {
-            if let Some(next) = adj.get(&n) {
-                for &m in next {
-                    if seen.insert(m) {
-                        queue.push_back(m);
-                    }
-                }
-            }
-        }
-        pins.iter().all(|p| seen.contains(p))
+        let first = root(&mut parent, rank(pins[0]));
+        pins.iter().all(|&p| root(&mut parent, rank(p)) == first)
     }
 
     /// Normalizes the route: drops empty segments and stacks, deduplicates,
@@ -338,7 +300,7 @@ impl Routing {
     /// Total Eq. 1 objective: Σ cost of all routes under the current grid.
     #[must_use]
     pub fn total_cost(&self, grid: &RouteGrid) -> f64 {
-        sum_ordered(self.routes.iter().map(|r| r.cost(grid)))
+        sum_ordered(self.routes.iter().map(|r| r.cost(grid, &[])))
     }
 
     /// Whether every multi-pin net's route connects its pins.
@@ -351,10 +313,20 @@ impl Routing {
     }
 }
 
-/// The `(x, y, layer)` gcell nodes of a net's pins.
+/// The root of `i` in the union-find forest `parent`, halving the path
+/// on the way.
+fn root(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
+/// The gcell nodes of a net's pins, sorted and deduplicated.
 #[must_use]
-pub fn net_pin_nodes(design: &Design, grid: &RouteGrid, net: NetId) -> Vec<(u16, u16, u16)> {
-    let mut out: Vec<(u16, u16, u16)> = design
+pub fn net_pin_nodes(design: &Design, grid: &RouteGrid, net: NetId) -> Vec<Gcell> {
+    let mut out: Vec<Gcell> = design
         .net(net)
         .pins
         .iter()
@@ -363,7 +335,7 @@ pub fn net_pin_nodes(design: &Design, grid: &RouteGrid, net: NetId) -> Vec<(u16,
             // crp-lint: allow(no-panic-paths, layer counts are validated to
             // fit u16 when the grid is built from the same design)
             let layer = u16::try_from(design.pin_layer(p)).expect("layer out of range");
-            (x, y, layer)
+            Gcell::new(x, y, layer)
         })
         .collect();
     out.sort_unstable();
@@ -442,15 +414,37 @@ mod tests {
                 hi: 2,
             }],
         };
-        let before: Vec<f64> = route.edges().iter().map(|&e| g.demand(e)).collect();
+        let before: Vec<f64> = route.edges().map(|e| g.demand(e)).collect();
         route.commit(&mut g);
-        let during: Vec<f64> = route.edges().iter().map(|&e| g.demand(e)).collect();
+        let during: Vec<f64> = route.edges().map(|e| g.demand(e)).collect();
         assert!(during.iter().zip(&before).any(|(d, b)| d > b));
         route.uncommit(&mut g);
-        let after: Vec<f64> = route.edges().iter().map(|&e| g.demand(e)).collect();
+        let after: Vec<f64> = route.edges().map(|e| g.demand(e)).collect();
         for (b, a) in before.iter().zip(&after) {
             assert!((b - a).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn cost_sums_edge_costs() {
+        let g = grid();
+        let route = NetRoute {
+            segs: vec![RouteSeg::new(1, (0, 0), (1, 0))],
+            vias: vec![ViaStack {
+                x: 0,
+                y: 0,
+                lo: 1,
+                hi: 2,
+            }],
+        };
+        let edges = [Edge::planar(1, 0, 0), Edge::via(0, 0, 1)];
+        assert_eq!(route.edges().collect::<Vec<_>>(), edges);
+        let sum = route.cost(&g, &[]);
+        assert!((sum - (g.cost(edges[0]) + g.cost(edges[1]))).abs() < 1e-12);
+        // A discount shifts only the demand of the edges it lists.
+        let discounted = route.cost(&g, &[(edges[1], -0.5)]);
+        let want = g.cost(edges[0]) + g.cost_adjusted(edges[1], -0.5);
+        assert!((discounted - want).abs() < 1e-12);
     }
 
     #[test]
@@ -481,9 +475,9 @@ mod tests {
                 },
             ],
         };
-        assert!(route.connects(&[(0, 0, 0), (3, 2, 0)]));
+        assert!(route.connects(&[Gcell::new(0, 0, 0), Gcell::new(3, 2, 0)]));
         // A pin off the route is not connected.
-        assert!(!route.connects(&[(0, 0, 0), (5, 5, 0)]));
+        assert!(!route.connects(&[Gcell::new(0, 0, 0), Gcell::new(5, 5, 0)]));
     }
 
     #[test]
@@ -498,12 +492,12 @@ mod tests {
             }],
         };
         // Pin at (3,0,0) has no via down from layer 1.
-        assert!(!route.connects(&[(0, 0, 0), (3, 0, 0)]));
+        assert!(!route.connects(&[Gcell::new(0, 0, 0), Gcell::new(3, 0, 0)]));
     }
 
     #[test]
     fn single_pin_net_trivially_connected() {
-        assert!(NetRoute::empty().connects(&[(4, 4, 0)]));
+        assert!(NetRoute::empty().connects(&[Gcell::new(4, 4, 0)]));
         assert!(NetRoute::empty().connects(&[]));
     }
 
@@ -563,5 +557,111 @@ mod tests {
         };
         assert_eq!(routing.total_wirelength(), 4);
         assert_eq!(routing.total_vias(), 1);
+    }
+
+    mod properties {
+        use super::*;
+        use crate::maze::{maze_route, path_to_route};
+        use crate::pattern::pattern_route_tree;
+        use proptest::prelude::*;
+        use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+
+        /// Connectivity as it was decided over the route's edge set: each
+        /// planar edge's direction is guessed from a segment that covers
+        /// it, then a BFS runs from the first pin. The reference
+        /// `NetRoute::connects` must agree with.
+        fn connects_by_edges(route: &NetRoute, pins: &[Gcell]) -> bool {
+            if pins.len() <= 1 {
+                return true;
+            }
+            let mut edge_set: BTreeSet<Edge> = BTreeSet::new();
+            for seg in &route.segs {
+                edge_set.extend(seg.edges());
+            }
+            for v in &route.vias {
+                edge_set.extend(v.edges());
+            }
+            let mut adj: HashMap<Gcell, Vec<Gcell>> = HashMap::new();
+            for &e in &edge_set {
+                let (a, b) = match e {
+                    Edge::Planar { layer, x, y } => {
+                        let h = route.segs.iter().any(|s| {
+                            s.layer == layer && s.edges().any(|se| se == e) && s.from.1 == s.to.1
+                        });
+                        if h {
+                            (Gcell::new(x, y, layer), Gcell::new(x + 1, y, layer))
+                        } else {
+                            (Gcell::new(x, y, layer), Gcell::new(x, y + 1, layer))
+                        }
+                    }
+                    Edge::Via { x, y, lower } => {
+                        (Gcell::new(x, y, lower), Gcell::new(x, y, lower + 1))
+                    }
+                };
+                adj.entry(a).or_default().push(b);
+                adj.entry(b).or_default().push(a);
+            }
+            let mut seen = HashSet::new();
+            let mut queue = VecDeque::new();
+            seen.insert(pins[0]);
+            queue.push_back(pins[0]);
+            while let Some(n) = queue.pop_front() {
+                if let Some(next) = adj.get(&n) {
+                    for &m in next {
+                        if seen.insert(m) {
+                            queue.push_back(m);
+                        }
+                    }
+                }
+            }
+            pins.iter().all(|p| seen.contains(p))
+        }
+
+        /// A maze route over `pins`: one maze path from the first pin to
+        /// each other pin.
+        fn maze_net(g: &RouteGrid, pins: &[Gcell]) -> NetRoute {
+            let mut route = NetRoute::empty();
+            for &p in &pins[1..] {
+                if let Some(path) = maze_route(g, &pins[..1], &[p], &[], 0.0) {
+                    let part = path_to_route(&path);
+                    route.segs.extend(part.segs);
+                    route.vias.extend(part.vias);
+                }
+            }
+            route.normalize();
+            route
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            #[test]
+            fn connects_matches_the_edge_set_reference(
+                pins in proptest::collection::vec((0u16..10, 0u16..10, 0u16..3), 1..6),
+                maze in 0u8..2,
+            ) {
+                let g = grid();
+                let mut nodes: Vec<Gcell> =
+                    pins.iter().map(|&(x, y, l)| Gcell::new(x, y, l)).collect();
+                nodes.sort_unstable();
+                nodes.dedup();
+                let route = if maze == 1 {
+                    maze_net(&g, &nodes)
+                } else {
+                    pattern_route_tree(&g, &nodes, &[], 0.0, &[])
+                };
+                prop_assert!(route.connects(&nodes));
+                prop_assert_eq!(route.connects(&nodes), connects_by_edges(&route, &nodes));
+                for i in 0..route.segs.len() {
+                    let mut cut = route.clone();
+                    cut.segs.remove(i);
+                    prop_assert_eq!(cut.connects(&nodes), connects_by_edges(&cut, &nodes));
+                }
+                for i in 0..route.vias.len() {
+                    let mut cut = route.clone();
+                    cut.vias.remove(i);
+                    prop_assert_eq!(cut.connects(&nodes), connects_by_edges(&cut, &nodes));
+                }
+            }
+        }
     }
 }

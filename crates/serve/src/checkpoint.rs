@@ -28,7 +28,7 @@ use crate::error::ServeError;
 use crate::json::{parse, Json};
 use crate::persist::replace_file;
 use crp_core::{Crp, CrpConfig, FlowState, IterationReport, StageTimers};
-use crp_geom::{Orientation, Point};
+use crp_geom::{Axis, Orientation, Point};
 use crp_gp::{GpIterStats, GpState};
 use crp_grid::{GridConfig, RouteGrid};
 use crp_netlist::{CellId, Design};
@@ -109,7 +109,10 @@ impl Checkpoint {
     ///
     /// Returns a [`ServeError`] when the checkpoint does not match the
     /// design (unknown cell/net ids) — the telltale of restoring against
-    /// the wrong base input.
+    /// the wrong base input — or holds a route the grid cannot take: a
+    /// segment outside the grid, on a non-routable layer or across its
+    /// layer's axis, or a via stack off the grid or through the top
+    /// layer. Such a checkpoint commits nothing.
     pub fn restore(
         &self,
         design: &mut Design,
@@ -140,6 +143,10 @@ impl Checkpoint {
         }
         let mut grid = RouteGrid::try_new(design, GridConfig::default())
             .map_err(|e| ServeError::new(format!("grid rebuild failed: {e}")))?;
+        for (net, route) in self.routes.iter().enumerate() {
+            check_route(&grid, route)
+                .map_err(|e| ServeError::new(format!("checkpoint route of net {net}: {e}")))?;
+        }
         let routing = Routing {
             routes: self.routes.clone(),
         };
@@ -241,11 +248,14 @@ impl Checkpoint {
             let mut route = NetRoute::empty();
             for seg in req_arr(item, "segs")? {
                 let f = int_row::<5>(seg, "segs")?;
-                route.segs.push(RouteSeg::new(
-                    to_u16(f[0])?,
-                    (to_u16(f[1])?, to_u16(f[2])?),
-                    (to_u16(f[3])?, to_u16(f[4])?),
-                ));
+                let a = (to_u16(f[1])?, to_u16(f[2])?);
+                let b = (to_u16(f[3])?, to_u16(f[4])?);
+                if a.0 != b.0 && a.1 != b.1 {
+                    return Err(ServeError::new(format!(
+                        "checkpoint segment {a:?}..{b:?} is not axis-aligned"
+                    )));
+                }
+                route.segs.push(RouteSeg::new(to_u16(f[0])?, a, b));
             }
             for via in req_arr(item, "vias")? {
                 let f = int_row::<4>(via, "vias")?;
@@ -291,6 +301,55 @@ impl Checkpoint {
             .map(|v| Checkpoint::from_json(&v))
             .transpose()
     }
+}
+
+/// Checks that `route` fits `grid`: every segment lies inside the grid on
+/// a routable layer and runs along that layer's axis, from its lower
+/// endpoint to its upper one, and every via stack stands on a gcell of
+/// the grid and ends below the layer count. The grid checks the bounds
+/// of a commit only in debug builds, so a route read from disk passes
+/// this first.
+fn check_route(grid: &RouteGrid, route: &NetRoute) -> Result<(), String> {
+    let (nx, ny, nl) = grid.dims();
+    for s in &route.segs {
+        let (from, to) = (s.from, s.to);
+        if !grid.is_routable(s.layer) {
+            return Err(format!(
+                "segment {from:?}..{to:?} on non-routable layer {}",
+                s.layer
+            ));
+        }
+        if from.0.max(to.0) >= nx || from.1.max(to.1) >= ny {
+            return Err(format!(
+                "segment {from:?}..{to:?} outside the {nx}x{ny} grid"
+            ));
+        }
+        let along = match grid.axis(s.layer) {
+            Axis::X => from.1 == to.1 && from.0 <= to.0,
+            Axis::Y => from.0 == to.0 && from.1 <= to.1,
+        };
+        if !along {
+            return Err(format!(
+                "segment {from:?}..{to:?} runs across layer {}'s axis",
+                s.layer
+            ));
+        }
+    }
+    for v in &route.vias {
+        if v.x >= nx || v.y >= ny {
+            return Err(format!(
+                "via stack at ({}, {}) outside the {nx}x{ny} grid",
+                v.x, v.y
+            ));
+        }
+        if v.lo > v.hi || v.hi >= nl {
+            return Err(format!(
+                "via stack at ({}, {}) spans layers {}..={} of {nl}",
+                v.x, v.y, v.lo, v.hi
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Serializes a GP-phase optimizer snapshot — the `place` job's
@@ -659,6 +718,59 @@ mod tests {
         // A different profile: different cell/net counts.
         let mut other = ispd18_profiles()[1].scaled(800.0).generate();
         assert!(ckpt.restore(&mut other, CrpConfig::default()).is_err());
+    }
+
+    #[test]
+    fn misaligned_segment_is_a_decode_error() {
+        let (design, grid, _router, mut routing) = small_flow();
+        routing.routes[0].segs = vec![RouteSeg {
+            layer: 1,
+            from: (0, 0),
+            to: (1, 1),
+        }];
+        let ckpt = Checkpoint::capture(
+            &design,
+            &grid,
+            &routing,
+            &Crp::new(CrpConfig::default()),
+            0,
+            1,
+        );
+        let json = parse(&ckpt.to_json().to_string()).unwrap();
+        let e = Checkpoint::from_json(&json).unwrap_err();
+        assert!(e.msg.contains("is not axis-aligned"), "{e}");
+    }
+
+    /// Each route the grid cannot take is refused before anything is
+    /// committed, with an error that names the case.
+    #[test]
+    fn restore_rejects_routes_the_grid_cannot_take() {
+        let (design, grid, _router, routing) = small_flow();
+        let (nx, _, nl) = grid.dims();
+        let x_layer = (0..nl)
+            .find(|&l| grid.is_routable(l) && grid.axis(l) == Axis::X)
+            .unwrap();
+        let seg = |layer, from, to| vec![RouteSeg { layer, from, to }];
+        let stack = |x, lo, hi| vec![ViaStack { x, y: 0, lo, hi }];
+        let cases = [
+            ("outside the", seg(x_layer, (0, 0), (nx, 0)), vec![]),
+            ("runs across layer", seg(x_layer, (0, 0), (0, 1)), vec![]),
+            ("non-routable layer 0", seg(0, (0, 0), (1, 0)), vec![]),
+            ("non-routable layer", seg(nl, (0, 0), (1, 0)), vec![]),
+            ("outside the", vec![], stack(nx, 0, 1)),
+            ("spans layers", vec![], stack(0, 0, nl)),
+            ("spans layers", vec![], stack(0, 2, 1)),
+        ];
+        let crp = Crp::new(CrpConfig::default());
+        for (want, segs, vias) in cases {
+            let mut bad = routing.clone();
+            bad.routes[0] = NetRoute { segs, vias };
+            let ckpt = Checkpoint::capture(&design, &grid, &bad, &crp, 0, 1);
+            let mut base = ispd18_profiles()[0].scaled(800.0).generate();
+            let e = ckpt.restore(&mut base, CrpConfig::default()).err().unwrap();
+            assert!(e.msg.contains(want), "{want}: {e}");
+            assert!(e.msg.starts_with("checkpoint route of net 0"), "{e}");
+        }
     }
 
     #[test]

@@ -225,7 +225,7 @@ fn run_gp_phase(
 /// checkpoint. On completion it writes `result.def` and `result.guide`
 /// plus a final checkpoint of the finished state.
 ///
-/// [`JobMode::Place`] jobs prepend the GP phase ([`run_gp_phase`]): a
+/// [`JobMode::Place`] jobs prepend the GP phase (`run_gp_phase`): a
 /// CR&P checkpoint implies the GP phase already finished (its legalized
 /// placement is part of the saved cell positions), so only a place job
 /// with no CR&P checkpoint — fresh, or interrupted mid-GP — runs or

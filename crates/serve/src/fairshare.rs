@@ -13,7 +13,8 @@
 //! with credit, and serving a job costs one credit. A tenant with twice
 //! the thread share therefore gets twice the dispatches per round, and
 //! any tenant with queued work is served at least once per round — a
-//! greedy tenant can never starve another ([`tests::greedy_tenant_cannot_starve_others`]).
+//! greedy tenant can never starve another (see the test
+//! `greedy_tenant_cannot_starve_others`).
 //! Within a tenant, the `high` lane dequeues before `normal`, FIFO
 //! inside a lane.
 

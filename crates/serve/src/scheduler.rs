@@ -1388,6 +1388,58 @@ mod tests {
         );
     }
 
+    /// A checkpoint the daemon cannot use does not stop `recover`: the job
+    /// is queued again and fails with an error that names the fault. A
+    /// diagonal segment fails to decode, and one outside the grid fails
+    /// the restore.
+    #[test]
+    fn recover_fails_jobs_with_corrupt_checkpoints() {
+        for (tag, want) in [
+            ("diagonal", "is not axis-aligned"),
+            ("offgrid", "outside the"),
+        ] {
+            let dir = std::env::temp_dir()
+                .join(format!("crp-sched-corrupt-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = SchedConfig {
+                data_dir: dir.clone(),
+                queue_capacity: 8,
+                total_threads: 2,
+                max_running: 2,
+                ..SchedConfig::default()
+            };
+            let (id, path) = {
+                let s = Scheduler::new(config.clone()).unwrap();
+                // Far more iterations than run before the drain parks it.
+                let id = s.submit(tiny_spec(1000)).unwrap();
+                let _ = watch(&s, id, 0).unwrap();
+                s.drain();
+                (id, s.job_dir(id).join(CHECKPOINT_FILE))
+            };
+            let mut ckpt = crate::checkpoint::Checkpoint::load(&path)
+                .unwrap()
+                .expect("a drained job leaves a checkpoint");
+            let seg = ckpt
+                .routes
+                .iter_mut()
+                .find_map(|r| r.segs.first_mut())
+                .unwrap();
+            if tag == "diagonal" {
+                seg.to = (seg.from.0 + 1, seg.from.1 + 1);
+            } else {
+                seg.from.0 += 10_000;
+                seg.to.0 += 10_000;
+            }
+            ckpt.save(&path).unwrap();
+
+            let s2 = Scheduler::new(config).unwrap();
+            assert_eq!(s2.recover().unwrap(), 1, "{tag}");
+            assert_eq!(wait_terminal(&s2, id), JobState::Failed, "{tag}");
+            let error = s2.status(id).unwrap().error.unwrap_or_default();
+            assert!(error.contains(want), "{tag}: {error}");
+        }
+    }
+
     /// A greedy tenant flooding the queue cannot delay another tenant's
     /// queued job beyond its fair turn: the polite tenant's single job
     /// completes while most of the flood is still queued.
@@ -1408,17 +1460,22 @@ mod tests {
             flood.push(s.submit(tenant_spec("greedy", 1)).unwrap());
         }
         let polite = s.submit(tenant_spec("polite", 1)).unwrap();
+        // Greedy jobs that finished before the polite job was queued ran
+        // while it did not exist yet; only the later ones count.
+        let done = |id: u64| s.status(id).unwrap().state == JobState::Done;
+        let earlier: Vec<u64> = flood.iter().copied().filter(|&id| done(id)).collect();
         let state = wait_terminal(&s, polite);
         assert_eq!(state, JobState::Done);
         // Fair share (equal weights): at most a couple of greedy jobs ran
-        // before polite's turn came around.
-        let done_before = flood
+        // between the polite job's arrival and its turn.
+        let done_after = flood
             .iter()
-            .filter(|&&id| s.status(id).unwrap().state == JobState::Done)
+            .filter(|&&id| !earlier.contains(&id) && done(id))
             .count();
         assert!(
-            done_before <= 3,
-            "{done_before} greedy jobs finished before the polite tenant's single job"
+            done_after <= 3,
+            "{done_after} greedy jobs finished after the polite tenant's single job was queued \
+             and before it finished"
         );
     }
 

@@ -152,8 +152,8 @@ impl JobSpec {
         }
     }
 
-    /// GP iterations contributed to [`total_iterations`]
-    /// (`Self::total_iterations`): 0 in CR&P mode.
+    /// GP iterations contributed to
+    /// [`total_iterations`](Self::total_iterations): 0 in CR&P mode.
     #[must_use]
     pub fn gp_phase_iterations(&self) -> usize {
         match self.mode {
