@@ -37,133 +37,157 @@ impl PriceScratch {
 /// either. A net's discount depends only on the grid and its own current
 /// route, so every candidate of a list that reprices the net can share
 /// it.
+///
+/// The router reads a discount as a dense slice: one demand delta per
+/// edge, indexed by [`RouteGrid::edge_index`], and 0.0 on every edge the
+/// net's route leaves alone. One such slice holds one net's deltas at a
+/// time. Each net keeps its `(index, delta)` list, so switching nets
+/// resets the entries the last one set and scatters the next one's.
 #[derive(Debug, Default)]
 struct Discounts {
     /// Every net discounted so far, with the range of its entries.
     nets: Vec<(NetId, Range<usize>)>,
-    /// Each net's `(edge, demand delta)` pairs, sorted by edge with one
-    /// entry per edge, back to back.
-    entries: Vec<(Edge, f64)>,
-    /// The net's route edges, one per occurrence.
-    wires: Vec<Edge>,
-    /// The net's via endpoints, one per occurrence.
-    ends: Vec<Gcell>,
-    /// Via endpoints the net contributes per gcell.
-    own: Vec<(Gcell, f64)>,
-    /// Planar edges next to a gcell with one of the net's vias.
-    affected: Vec<Edge>,
+    /// Each net's `(edge index, demand delta)` pairs, one per edge, back
+    /// to back.
+    entries: Vec<(usize, f64)>,
+    /// The deltas of the net at `nets[shown]`, 0.0 everywhere else.
+    dense: Vec<f64>,
+    shown: Option<usize>,
+    /// Via endpoints the route being discounted has per slot, 0.0
+    /// everywhere else between builds.
+    own: Vec<f64>,
+    /// The gcells with an entry in `own`.
+    own_at: Vec<Gcell>,
 }
 
 impl Discounts {
     fn clear(&mut self) {
+        self.hide();
         self.nets.clear();
         self.entries.clear();
     }
 
-    /// `net`'s discount, computed on its first request since the last
-    /// [`clear`](Discounts::clear).
-    fn of(&mut self, grid: &RouteGrid, routing: &Routing, net: NetId) -> &[(Edge, f64)] {
-        let range = match self.nets.iter().find(|(n, _)| *n == net) {
-            Some((_, r)) => r.clone(),
-            None => {
-                let start = self.entries.len();
-                self.push_discount(grid, routing.route(net));
-                self.nets.push((net, start..self.entries.len()));
-                start..self.entries.len()
+    /// Resets the entries of the net `dense` holds.
+    fn hide(&mut self) {
+        if let Some(k) = self.shown.take() {
+            for &(i, _) in &self.entries[self.nets[k].1.clone()] {
+                self.dense[i] = 0.0;
             }
-        };
-        &self.entries[range]
+        }
     }
 
-    /// Appends the demand deltas that remove `route` from the grid
-    /// demand: −1 on every wire and via edge it occupies (once per
-    /// occurrence), plus the (nonlinear) via-estimate correction `β·δ_e`
-    /// on planar edges whose endpoint gcells host the route's vias. Each
-    /// entry is summed as a map entry would be (`0.0`, then −1 per
-    /// occurrence, then the correction), since prices must not depend on
-    /// how the discount is stored.
-    fn push_discount(&mut self, grid: &RouteGrid, route: &NetRoute) {
+    /// `net`'s discount, computed on its first request since the last
+    /// [`clear`](Discounts::clear); empty when its route is.
+    fn of(&mut self, grid: &RouteGrid, routing: &Routing, net: NetId) -> &[f64] {
+        if self.dense.len() != 2 * grid.num_slots() {
+            self.clear();
+            self.dense.clear();
+            self.dense.resize(2 * grid.num_slots(), 0.0);
+            self.own.clear();
+            self.own.resize(grid.num_slots(), 0.0);
+        }
+        let k = match self.nets.iter().position(|(n, _)| *n == net) {
+            Some(k) => k,
+            None => {
+                self.hide();
+                let start = self.entries.len();
+                self.scatter(grid, routing.route(net));
+                self.nets.push((net, start..self.entries.len()));
+                self.shown = Some(self.nets.len() - 1);
+                self.nets.len() - 1
+            }
+        };
+        if self.shown != Some(k) {
+            self.hide();
+            for &(i, delta) in &self.entries[self.nets[k].1.clone()] {
+                self.dense[i] = delta;
+            }
+            self.shown = Some(k);
+        }
+        if self.nets[k].1.is_empty() {
+            &[]
+        } else {
+            &self.dense
+        }
+    }
+
+    /// Adds to the all-zero `dense` the demand deltas that remove `route`
+    /// from the grid, and appends them to `entries`: −1 on every wire and
+    /// via edge it occupies (once per occurrence), plus the (nonlinear)
+    /// via-estimate correction `β·δ_e` on planar edges whose endpoint
+    /// gcells host the route's vias. Each entry is summed as a map entry
+    /// would be (`0.0`, then −1 per occurrence, then the correction), since
+    /// prices must not depend on how the discount is stored. An entry is
+    /// 0.0 until its edge is first touched, and never again after: −1s
+    /// and corrections are all negative.
+    fn scatter(&mut self, grid: &RouteGrid, route: &NetRoute) {
         let Discounts {
             entries,
-            wires,
-            ends,
+            dense,
             own,
-            affected,
+            own_at,
             ..
         } = self;
         let start = entries.len();
+        let mut add = |i: usize, delta: f64| {
+            if dense[i] == 0.0 {
+                entries.push((i, 0.0));
+            }
+            dense[i] += delta;
+        };
+        for e in route.edges() {
+            add(grid.edge_index(e), -1.0);
+        }
 
-        wires.clear();
-        wires.extend(route.edges());
-        wires.sort_unstable();
-        tally(wires, -1.0, entries);
-        let wired = entries.len();
-
-        ends.clear();
         for v in &route.vias {
             for l in v.lo..v.hi {
-                ends.push(Gcell::new(v.x, v.y, l));
-                ends.push(Gcell::new(v.x, v.y, l + 1));
+                for end in [Gcell::new(v.x, v.y, l), Gcell::new(v.x, v.y, l + 1)] {
+                    let s = grid.slot(end.layer, end.x, end.y);
+                    if own[s] == 0.0 {
+                        own_at.push(end);
+                    }
+                    own[s] += 1.0;
+                }
             }
         }
-        if ends.is_empty() {
-            return;
-        }
-        ends.sort_unstable();
-        own.clear();
-        tally(ends, 1.0, own);
-        let own_at = |k: Gcell| match own.binary_search_by_key(&k, |&(o, _)| o) {
-            Ok(i) => own[i].1,
-            Err(_) => 0.0,
-        };
-
         let beta = grid.config().beta;
-        affected.clear();
-        for &(Gcell { x, y, layer: l }, _) in own.iter() {
+        let own_of = |g: Gcell| own[grid.slot(g.layer, g.x, g.y)];
+        for &Gcell { x, y, layer: l } in own_at.iter() {
             if !grid.is_routable(l) {
                 continue;
             }
-            affected.push(Edge::planar(l, x, y));
-            match grid.axis(l) {
-                crp_geom::Axis::X if x > 0 => affected.push(Edge::planar(l, x - 1, y)),
-                crp_geom::Axis::Y if y > 0 => affected.push(Edge::planar(l, x, y - 1)),
-                _ => {}
+            // The planar edges with an endpoint here: the one leaving
+            // the gcell, and the one entering it unless its source hosts
+            // vias too, whose turn covers that edge.
+            let entering = match grid.axis(l) {
+                crp_geom::Axis::X if x > 0 => Some(Gcell::new(x - 1, y, l)),
+                crp_geom::Axis::Y if y > 0 => Some(Gcell::new(x, y - 1, l)),
+                _ => None,
+            };
+            let entering = entering.filter(|&p| own_of(p) == 0.0);
+            let leaving = Some(Gcell::new(x, y, l));
+            for src in [leaving, entering].into_iter().flatten() {
+                let e = Edge::planar(l, src.x, src.y);
+                if !grid.edge_exists(e) {
+                    continue;
+                }
+                let (a, b) = e.endpoints(|l| grid.axis(l));
+                let va = grid.via_count(a.layer, a.x, a.y);
+                let vb = grid.via_count(b.layer, b.x, b.y);
+                let va2 = (va - own_of(a)).max(0.0);
+                let vb2 = (vb - own_of(b)).max(0.0);
+                let delta = beta * (((va2 + vb2) / 2.0).sqrt() - ((va + vb) / 2.0).sqrt());
+                if delta != 0.0 {
+                    add(grid.edge_index(e), delta);
+                }
             }
         }
-        affected.sort_unstable();
-        affected.dedup();
-        for &e in affected.iter() {
-            if !grid.edge_exists(e) {
-                continue;
-            }
-            let (a, b) = e.endpoints(|l| grid.axis(l));
-            let va = grid.via_count(a.layer, a.x, a.y);
-            let vb = grid.via_count(b.layer, b.x, b.y);
-            let va2 = (va - own_at(a)).max(0.0);
-            let vb2 = (vb - own_at(b)).max(0.0);
-            let delta = beta * (((va2 + vb2) / 2.0).sqrt() - ((va + vb) / 2.0).sqrt());
-            if delta == 0.0 {
-                continue;
-            }
-            match entries[start..wired].binary_search_by_key(&e, |&(w, _)| w) {
-                Ok(i) => entries[start + i].1 += delta,
-                Err(_) => entries.push((e, delta)),
-            }
+        for g in own_at.drain(..) {
+            own[grid.slot(g.layer, g.x, g.y)] = 0.0;
         }
-        entries[start..].sort_unstable_by_key(|&(e, _)| e);
-    }
-}
-
-/// Appends `(key, 0.0 + step + step + …)` with one `step` per occurrence
-/// for every run of equal keys in `sorted`: the sum a map entry reaches
-/// when each occurrence adds `step` to it.
-fn tally<K: Copy + Eq>(sorted: &[K], step: f64, out: &mut Vec<(K, f64)>) {
-    for run in sorted.chunk_by(|a, b| a == b) {
-        let mut sum = 0.0;
-        for _ in run {
-            sum += step;
+        for (i, delta) in &mut entries[start..] {
+            *delta = dense[*i];
         }
-        out.push((run[0], sum));
     }
 }
 
@@ -680,19 +704,137 @@ mod tests {
     }
 
     #[test]
-    fn discount_is_edge_sorted_and_covers_the_route() {
+    fn discount_covers_the_route() {
         let (_, grid, routing, _) = flow();
         let route = routing.route(NetId(0));
         let mut discounts = Discounts::default();
         let discount = discounts.of(&grid, &routing, NetId(0));
-        assert!(discount.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(discount.len(), 2 * grid.num_slots());
         for e in route.edges() {
-            let i = discount.binary_search_by_key(&e, |&(d, _)| d);
-            assert!(
-                i.is_ok_and(|i| discount[i].1 <= -1.0),
-                "{e:?} not discounted"
-            );
+            assert!(discount[grid.edge_index(e)] <= -1.0, "{e:?} not discounted");
         }
+    }
+
+    /// The self-usage discount as an edge-sorted `(Edge, f64)` slice, the
+    /// form it had before it became dense: the reference
+    /// [`Discounts::scatter`] must reproduce entry by entry.
+    fn sorted_discount(grid: &RouteGrid, route: &NetRoute) -> Vec<(Edge, f64)> {
+        fn tally<K: Copy + Eq>(sorted: &[K], step: f64, out: &mut Vec<(K, f64)>) {
+            for run in sorted.chunk_by(|a, b| a == b) {
+                let mut sum = 0.0;
+                for _ in run {
+                    sum += step;
+                }
+                out.push((run[0], sum));
+            }
+        }
+        let mut entries = Vec::new();
+        let mut wires: Vec<Edge> = route.edges().collect();
+        wires.sort_unstable();
+        tally(&wires, -1.0, &mut entries);
+        let wired = entries.len();
+        let mut ends = Vec::new();
+        for v in &route.vias {
+            for l in v.lo..v.hi {
+                ends.push(Gcell::new(v.x, v.y, l));
+                ends.push(Gcell::new(v.x, v.y, l + 1));
+            }
+        }
+        if ends.is_empty() {
+            return entries;
+        }
+        ends.sort_unstable();
+        let mut own = Vec::new();
+        tally(&ends, 1.0, &mut own);
+        let own_at = |k: Gcell| match own.binary_search_by_key(&k, |&(o, _)| o) {
+            Ok(i) => own[i].1,
+            Err(_) => 0.0,
+        };
+        let beta = grid.config().beta;
+        let mut affected = Vec::new();
+        for &(Gcell { x, y, layer: l }, _) in &own {
+            if !grid.is_routable(l) {
+                continue;
+            }
+            affected.push(Edge::planar(l, x, y));
+            match grid.axis(l) {
+                crp_geom::Axis::X if x > 0 => affected.push(Edge::planar(l, x - 1, y)),
+                crp_geom::Axis::Y if y > 0 => affected.push(Edge::planar(l, x, y - 1)),
+                _ => {}
+            }
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        for e in affected {
+            if !grid.edge_exists(e) {
+                continue;
+            }
+            let (a, b) = e.endpoints(|l| grid.axis(l));
+            let va = grid.via_count(a.layer, a.x, a.y);
+            let vb = grid.via_count(b.layer, b.x, b.y);
+            let va2 = (va - own_at(a)).max(0.0);
+            let vb2 = (vb - own_at(b)).max(0.0);
+            let delta = beta * (((va2 + vb2) / 2.0).sqrt() - ((va + vb) / 2.0).sqrt());
+            if delta == 0.0 {
+                continue;
+            }
+            match entries[..wired].binary_search_by_key(&e, |&(w, _)| w) {
+                Ok(i) => entries[i].1 += delta,
+                Err(_) => entries.push((e, delta)),
+            }
+        }
+        entries.sort_unstable_by_key(|&(e, _)| e);
+        entries
+    }
+
+    /// Checks every net's dense discount against [`sorted_discount`] by
+    /// bits, through one `Discounts` that revisits nets out of order.
+    /// Returns how many planar entries carried a via correction.
+    fn assert_dense_matches_sorted(grid: &RouteGrid, routing: &Routing) -> usize {
+        let mut discounts = Discounts::default();
+        let nets: Vec<NetId> = (0..routing.routes.len()).map(NetId::from_index).collect();
+        let mut corrected = 0;
+        for &net in nets.iter().chain(nets.iter().rev().step_by(3)) {
+            let sorted = sorted_discount(grid, routing.route(net));
+            let mut want = vec![0.0f64; 2 * grid.num_slots()];
+            for &(e, delta) in &sorted {
+                want[grid.edge_index(e)] = delta;
+                if let Edge::Planar { .. } = e {
+                    corrected += usize::from(delta.fract() != 0.0);
+                }
+            }
+            let dense = discounts.of(grid, routing, net);
+            if sorted.is_empty() {
+                assert!(dense.is_empty(), "{net}: empty route, non-empty discount");
+                continue;
+            }
+            assert_eq!(dense.len(), want.len());
+            for (i, (got, want)) in dense.iter().zip(&want).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "{net}: entry {i}");
+            }
+        }
+        corrected
+    }
+
+    #[test]
+    fn dense_discount_equals_the_sorted_slice_on_pattern_and_maze_routes() {
+        let profile = crp_workload::ispd18_profiles()
+            .into_iter()
+            .find(|p| p.name == "ispd18_test7")
+            .unwrap()
+            .scaled(900.0);
+        let d = profile.generate();
+        let mut grid = RouteGrid::new(&d, GridConfig::default());
+        let mut router = GlobalRouter::new(RouterConfig::default());
+        let mut routing = router.route_all(&d, &mut grid);
+        let vias = routing.total_vias();
+        assert!(vias > 0);
+        assert!(assert_dense_matches_sorted(&grid, &routing) > 0);
+        // Maze routes: every third net rerouted terminal by terminal.
+        for n in (0..routing.routes.len()).step_by(3) {
+            router.reroute_with_maze(&d, &mut grid, &mut routing, NetId::from_index(n));
+        }
+        assert!(assert_dense_matches_sorted(&grid, &routing) > 0);
     }
 
     #[test]

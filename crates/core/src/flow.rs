@@ -4,7 +4,7 @@ use crate::candidate::Candidate;
 use crate::config::CrpConfig;
 use crate::estimate::{check_price_consistency, estimate_candidates_cached};
 use crate::label::label_critical_cells;
-use crate::legalizer::Legalizer;
+use crate::legalizer::{Legalizer, WindowScratch};
 use crate::parallel::run_indexed;
 use crate::price_cache::PriceCache;
 use crate::replay_rng::ReplayRng;
@@ -351,7 +351,8 @@ impl Crp {
 /// the work-stealing dispatcher and prepends the stay candidate to each
 /// list (Algorithm 2, line 2). Legalizer ILP cost varies wildly with
 /// local density, so stealing beats fixed chunks; results land in
-/// critical-cell order regardless of thread count.
+/// critical-cell order regardless of thread count. Each worker reuses
+/// one [`WindowScratch`] across its cells.
 fn generate_parallel(
     design: &Design,
     legalizer: &Legalizer<'_>,
@@ -361,11 +362,11 @@ fn generate_parallel(
     run_indexed(
         critical.len(),
         threads,
-        || (),
-        |(), i| {
+        WindowScratch::default,
+        |scratch, i| {
             let cell = critical[i];
             let mut cands = vec![Candidate::stay(design, cell)];
-            cands.extend(legalizer.candidates_for(cell));
+            cands.extend(legalizer.candidates_with(cell, scratch));
             cands
         },
     )
@@ -405,9 +406,10 @@ fn joint_move_fits(occupancy: &RowMap, design: &Design, cand: &Candidate) -> boo
         let Some(row) = design.row_with_origin_y(rect.lo.y) else {
             return false;
         };
-        if !occupancy
+        if occupancy
             .overlapping(row.index(), rect.x_span(), &movers)
-            .is_empty()
+            .next()
+            .is_some()
         {
             return false;
         }

@@ -24,12 +24,15 @@
 //!
 //! Lookups verify the stored pin set by equality (not just by hash), so
 //! a hash collision degrades to a miss, never to a wrong price.
+//!
+//! Keys are hashed with a fixed integer mixer rather than `std`'s
+//! SipHash: the hash only spreads entries over shards and buckets, and
+//! every hit is verified, so it needs no resistance to chosen inputs.
 
 use crp_grid::{Gcell, RouteGrid};
 use crp_netlist::NetId;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -37,7 +40,7 @@ use std::sync::Mutex;
 /// only costs future hits — values are verified on every lookup.
 const SHARD_CAPACITY: usize = 8192;
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Key {
     net: NetId,
     /// Whether this is the stay price (current committed route) or a
@@ -46,6 +49,66 @@ struct Key {
     /// Hash of the sorted pin set (0 for stay entries).
     pin_hash: u64,
 }
+
+impl Key {
+    fn new(net: NetId, stay: bool, pins: &[Gcell]) -> Key {
+        // Stay entries price the committed route, whatever the pins.
+        let pin_hash = if stay {
+            0
+        } else {
+            pins.iter().fold(0, |h, p| {
+                mix(h ^ u64::from(p.x) ^ (u64::from(p.y) << 16) ^ (u64::from(p.layer) << 32))
+            })
+        };
+        Key {
+            net,
+            stay,
+            pin_hash,
+        }
+    }
+
+    /// The key's hash: one mixed word.
+    fn word(&self) -> u64 {
+        mix(self.pin_hash ^ (u64::from(self.net.0) << 1) ^ u64::from(self.stay))
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.word());
+    }
+}
+
+/// The splitmix64 finalizer: a fixed bijection of `u64` that spreads
+/// every input bit over the whole word.
+fn mix(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// Hashes a [`Key`] to its [`word`](Key::word): the word is mixed
+/// already, so the shard maps use it as it is.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+}
+
+type Shard = HashMap<Key, Entry, BuildHasherDefault<KeyHasher>>;
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -106,7 +169,7 @@ impl PriceRegion {
 /// Sharded, thread-safe price memo. See the module docs.
 #[derive(Debug)]
 pub struct PriceCache {
-    shards: Vec<Mutex<HashMap<Key, Entry>>>,
+    shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -122,22 +185,17 @@ impl PriceCache {
     #[must_use]
     pub fn new() -> PriceCache {
         PriceCache {
-            shards: (0..16).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..16).map(|_| Mutex::new(Shard::default())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    fn pin_hash(pins: &[Gcell]) -> u64 {
-        let mut h = DefaultHasher::new();
-        pins.hash(&mut h);
-        h.finish()
-    }
-
-    fn shard_of(&self, key: &Key) -> &Mutex<HashMap<Key, Entry>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    /// The shard of `key`, chosen by bits of its hash that the shard's
+    /// own table does not use for its buckets (the low bits) or its tags
+    /// (the top seven).
+    fn shard_of(&self, key: &Key) -> &Mutex<Shard> {
+        &self.shards[((key.word() >> 32) as usize) % self.shards.len()]
     }
 
     /// Looks up the memoized price of `net` for the given pin set (`stay`
@@ -146,11 +204,7 @@ impl PriceCache {
     /// touched after its epoch — i.e. only when a fresh computation would
     /// produce the identical value.
     pub fn lookup(&self, grid: &RouteGrid, net: NetId, stay: bool, pins: &[Gcell]) -> Option<f64> {
-        let key = Key {
-            net,
-            stay,
-            pin_hash: if stay { 0 } else { Self::pin_hash(pins) },
-        };
+        let key = Key::new(net, stay, pins);
         // A poisoned shard means some thread panicked while holding the
         // lock; entries are still safe to read because every hit is
         // re-verified against the pins and the grid epoch below.
@@ -201,11 +255,7 @@ impl PriceCache {
             // net); caching it would make the entry immortal. Skip.
             return;
         }
-        let key = Key {
-            net,
-            stay,
-            pin_hash: if stay { 0 } else { Self::pin_hash(pins) },
-        };
+        let key = Key::new(net, stay, pins);
         let (lo, hi) = region.with_margin();
         let entry = Entry {
             pins: pins.to_vec(),

@@ -280,6 +280,18 @@ impl RouteGrid {
         self.cap.len()
     }
 
+    /// The dense index of `edge` among `2 · num_slots` per-edge entries:
+    /// a planar edge sits at the slot it leaves, a via edge at
+    /// `num_slots` plus the slot of its lower end. Callers keep per-edge
+    /// values of both kinds (CR&P's self-usage discount) in one array.
+    #[must_use]
+    pub fn edge_index(&self, edge: Edge) -> usize {
+        match edge {
+            Edge::Planar { layer, x, y } => self.idx(layer, x, y),
+            Edge::Via { x, y, lower } => self.cap.len() + self.idx(lower, x, y),
+        }
+    }
+
     /// Whether a planar edge leaves gcell `(x, y)` on `layer` in the
     /// preferred direction without leaving the grid.
     #[must_use]
@@ -792,6 +804,26 @@ mod tests {
     fn dims_derived_from_die() {
         let g = grid();
         assert_eq!(g.dims(), (20, 20, 9));
+    }
+
+    #[test]
+    fn edge_index_numbers_every_planar_and_via_edge_once() {
+        let g = grid();
+        let (nx, ny, nl) = g.dims();
+        let mut seen = vec![false; 2 * g.num_slots()];
+        for layer in 0..nl {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let planar = g.edge_index(Edge::planar(layer, x, y));
+                    assert_eq!(planar, g.slot(layer, x, y));
+                    for i in [planar, g.edge_index(Edge::via(x, y, layer))] {
+                        assert!(!seen[i], "index {i} given twice");
+                        seen[i] = true;
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

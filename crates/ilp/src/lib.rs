@@ -68,6 +68,9 @@ pub struct Model {
     /// with no incumbent takes instead.
     fallback: Vec<Option<VarId>>,
     conflicts: Vec<Vec<VarId>>,
+    /// Emptied group and conflict lists that [`clear`](Model::clear) kept
+    /// for the next model built in this one.
+    spare: Vec<Vec<VarId>>,
 }
 
 /// Limits applied to a [`Model::solve`] run.
@@ -154,6 +157,18 @@ impl Model {
         Model::default()
     }
 
+    /// Empties the model, keeping its allocations for the next one built
+    /// in it: a caller that solves many small models reuses one.
+    pub fn clear(&mut self) {
+        self.costs.clear();
+        self.group_of.clear();
+        self.fallback.clear();
+        for mut list in self.groups.drain(..).chain(self.conflicts.drain(..)) {
+            list.clear();
+            self.spare.push(list);
+        }
+    }
+
     /// Number of variables.
     #[must_use]
     pub fn num_vars(&self) -> usize {
@@ -173,7 +188,8 @@ impl Model {
         let id = VarId(u32::try_from(self.costs.len()).expect("too many variables"));
         self.costs.push(cost);
         self.group_of.push(None);
-        self.conflicts.push(Vec::new());
+        let list = self.spare.pop().unwrap_or_default();
+        self.conflicts.push(list);
         id
     }
 
@@ -183,7 +199,9 @@ impl Model {
     ///
     /// Panics if `vars` is empty or any variable is already in a group.
     pub fn add_exactly_one(&mut self, vars: impl IntoIterator<Item = VarId>) {
-        let vars: Vec<VarId> = vars.into_iter().collect();
+        let mut list = self.spare.pop().unwrap_or_default();
+        list.extend(vars);
+        let vars = list;
         assert!(!vars.is_empty(), "exactly-one group cannot be empty");
         // crp-lint: allow(no-panic-paths, documented capacity contract: one
         // group per cell, far below u32::MAX; overflow is a caller bug)
@@ -250,6 +268,21 @@ impl Model {
     /// - [`SolveError::NodeLimit`] if the limit cuts off a component with
     ///   no incumbent and no conflict-free fallbacks.
     pub fn solve(&self, limits: SolveLimits) -> Result<Solution, SolveError> {
+        self.solve_with(limits, &mut SolveScratch::default())
+    }
+
+    /// [`solve`](Model::solve) with caller-provided buffers: a caller that
+    /// solves many small models keeps one [`SolveScratch`] and allocates
+    /// only each [`Solution`]. The search and its result are the same.
+    ///
+    /// # Errors
+    ///
+    /// As [`solve`](Model::solve).
+    pub fn solve_with(
+        &self,
+        limits: SolveLimits,
+        scratch: &mut SolveScratch,
+    ) -> Result<Solution, SolveError> {
         for (i, g) in self.group_of.iter().enumerate() {
             if g.is_none() {
                 return Err(SolveError::UngroupedVariable {
@@ -275,43 +308,30 @@ impl Model {
         // "pick the cheapest", and each conflict-connected component can be
         // solved separately. This is what keeps the legalizer and
         // selection ILPs exact at design scale.
-        let num_groups = self.groups.len();
-        let mut comp: Vec<usize> = (0..num_groups).collect();
-        fn find(comp: &mut [usize], mut i: usize) -> usize {
-            while comp[i] != i {
-                comp[i] = comp[comp[i]];
-                i = comp[i];
-            }
-            i
-        }
-        for (v, confs) in self.conflicts.iter().enumerate() {
-            // crp-lint: allow(no-panic-paths, the loop at the top of solve
-            // already returned UngroupedVariable if any entry were None)
-            let gv = self.group_of[v].expect("validated") as usize;
-            for c in confs {
-                // crp-lint: allow(no-panic-paths, same validation as above)
-                let gc = self.group_of[c.index()].expect("validated") as usize;
-                let (rv, rc) = (find(&mut comp, gv), find(&mut comp, gc));
-                if rv != rc {
-                    comp[rv] = rc;
-                }
-            }
-        }
-        let mut components: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for g in 0..num_groups {
-            components.entry(find(&mut comp, g)).or_default().push(g);
-        }
-        let mut component_list: Vec<Vec<usize>> = components.into_values().collect();
-        component_list.sort_by_key(|c| c[0]);
+        scratch.group_components(self);
+        let SolveScratch {
+            members,
+            comp_start,
+            sorted,
+            var_start,
+            local_of,
+            search: bufs,
+            ..
+        } = scratch;
+        local_of.clear();
+        local_of.resize(self.num_vars(), usize::MAX);
+        bufs.forbidden.clear();
+        bufs.forbidden.resize(self.num_vars(), 0);
 
+        let num_groups = self.groups.len();
         let mut chosen = vec![VarId(0); num_groups];
         let mut objective = 0.0;
         let mut total_nodes = 0u64;
         let mut proven = true;
         let mut fallback_components = 0;
 
-        for component in component_list {
+        for span in comp_start.windows(2) {
+            let component = &members[span[0]..span[1]];
             if component.len() == 1 && {
                 let g = component[0];
                 self.groups[g]
@@ -338,61 +358,63 @@ impl Model {
 
             // Branch-and-bound over this component's groups: cost-sorted
             // candidates, dynamic fail-first branching, and a matching-
-            // strengthened lower bound (see [`Search`]).
-            let sorted_groups: Vec<Vec<VarId>> = component
-                .iter()
-                .map(|&g| {
-                    let mut vars = self.groups[g].clone();
-                    vars.sort_by(|&a, &b| self.costs[a.index()].total_cmp(&self.costs[b.index()]));
-                    vars
-                })
-                .collect();
-            // Local group index of every variable in this component.
-            let mut local_of = vec![usize::MAX; self.num_vars()];
-            for (local, vars) in sorted_groups.iter().enumerate() {
-                for v in vars {
+            // strengthened lower bound (see [`Search`]). Local group `l`
+            // owns `sorted[var_start[l]..var_start[l + 1]]`.
+            sorted.clear();
+            var_start.clear();
+            for (local, &g) in component.iter().enumerate() {
+                var_start.push(sorted.len());
+                let at = sorted.len();
+                sorted.extend_from_slice(&self.groups[g]);
+                sorted[at..]
+                    .sort_by(|&a, &b| self.costs[a.index()].total_cmp(&self.costs[b.index()]));
+                for v in &sorted[at..] {
                     local_of[v.index()] = local;
                 }
             }
+            var_start.push(sorted.len());
+            let k = component.len();
+            bufs.reset(k);
             let budget = limits.max_nodes.saturating_sub(total_nodes);
-            let k = sorted_groups.len();
             let mut search = Search {
                 model: self,
-                sorted_groups: &sorted_groups,
-                local_of: &local_of,
-                forbidden: vec![0u32; self.num_vars()],
-                done: vec![false; k],
-                assigned: vec![VarId(0); k],
-                best: None,
+                sorted,
+                var_start,
+                local_of,
+                bufs: &mut *bufs,
+                found: false,
                 best_cost: f64::INFINITY,
                 nodes: 0,
                 max_nodes: budget,
                 aborted: false,
             };
             search.dfs(0, 0.0);
-            total_nodes += search.nodes;
-            match search.best {
-                Some(component_chosen) => {
-                    for (local, &var) in component_chosen.iter().enumerate() {
-                        chosen[component[local]] = var;
-                    }
-                    objective += search.best_cost;
-                    if search.aborted {
-                        proven = false;
-                    }
+            let (found, best_cost, nodes, aborted) =
+                (search.found, search.best_cost, search.nodes, search.aborted);
+            total_nodes += nodes;
+            for v in sorted.iter() {
+                local_of[v.index()] = usize::MAX;
+            }
+            if found {
+                for (&g, &var) in component.iter().zip(&bufs.best) {
+                    chosen[g] = var;
                 }
-                None if search.aborted => {
-                    let fallback = self
-                        .fallbacks(&component)
-                        .ok_or(SolveError::NodeLimit { nodes: total_nodes })?;
-                    for (&g, var) in component.iter().zip(fallback) {
-                        chosen[g] = var;
-                        objective += self.costs[var.index()];
-                    }
+                objective += best_cost;
+                if aborted {
                     proven = false;
-                    fallback_components += 1;
                 }
-                None => return Err(SolveError::Infeasible),
+            } else if aborted {
+                let fallback = self
+                    .fallbacks(component)
+                    .ok_or(SolveError::NodeLimit { nodes: total_nodes })?;
+                for (&g, var) in component.iter().zip(fallback) {
+                    chosen[g] = var;
+                    objective += self.costs[var.index()];
+                }
+                proven = false;
+                fallback_components += 1;
+            } else {
+                return Err(SolveError::Infeasible);
             }
         }
 
@@ -490,6 +512,114 @@ impl Model {
     }
 }
 
+/// Buffers for [`Model::solve_with`], kept across the components of one
+/// solve and across solves. Every buffer is emptied or reset before use,
+/// so a scratch carries no state from one solve to the next.
+#[derive(Debug, Default)]
+pub struct SolveScratch {
+    /// Union-find parent per group, then each group's root: the lowest
+    /// group of its component.
+    comp: Vec<usize>,
+    /// The groups ordered by component, each component's in ascending
+    /// order; components are numbered in order of their lowest group.
+    members: Vec<usize>,
+    /// Component `c` owns `members[comp_start[c]..comp_start[c + 1]]`.
+    comp_start: Vec<usize>,
+    /// The current component's variables, cost-sorted per local group,
+    /// back to back.
+    sorted: Vec<VarId>,
+    /// Local group `l` owns `sorted[var_start[l]..var_start[l + 1]]`.
+    var_start: Vec<usize>,
+    /// Local group index per variable, `usize::MAX` outside the current
+    /// component.
+    local_of: Vec<usize>,
+    search: SearchBuffers,
+}
+
+impl SolveScratch {
+    /// Creates an empty scratch.
+    #[must_use]
+    pub fn new() -> SolveScratch {
+        SolveScratch::default()
+    }
+
+    /// Splits `model`'s groups into conflict-connected components: fills
+    /// `members` and `comp_start`, components in order of their lowest
+    /// group and each one's groups ascending.
+    fn group_components(&mut self, model: &Model) {
+        fn find(comp: &mut [usize], mut i: usize) -> usize {
+            while comp[i] != i {
+                comp[i] = comp[comp[i]];
+                i = comp[i];
+            }
+            i
+        }
+        let num_groups = model.groups.len();
+        let comp = &mut self.comp;
+        comp.clear();
+        comp.extend(0..num_groups);
+        for (v, confs) in model.conflicts.iter().enumerate() {
+            // crp-lint: allow(no-panic-paths, solve_with already returned
+            // UngroupedVariable if any entry were None)
+            let gv = model.group_of[v].expect("validated") as usize;
+            for c in confs {
+                // crp-lint: allow(no-panic-paths, same validation as above)
+                let gc = model.group_of[c.index()].expect("validated") as usize;
+                let (rv, rc) = (find(comp, gv), find(comp, gc));
+                // Link under the lower root, so that every root is the
+                // lowest group of its component.
+                comp[rv.max(rc)] = rv.min(rc);
+            }
+        }
+        for g in 0..num_groups {
+            let root = find(comp, g);
+            comp[g] = root;
+        }
+        self.members.clear();
+        self.members.extend(0..num_groups);
+        self.members.sort_unstable_by_key(|&g| (comp[g], g));
+        self.comp_start.clear();
+        for (i, &g) in self.members.iter().enumerate() {
+            if i == 0 || comp[g] != comp[self.members[i - 1]] {
+                self.comp_start.push(i);
+            }
+        }
+        self.comp_start.push(num_groups);
+    }
+}
+
+/// The per-node buffers of [`Search`].
+#[derive(Debug, Default)]
+struct SearchBuffers {
+    /// Count of chosen conflicting variables per var (0 = selectable);
+    /// every search leaves it all zero.
+    forbidden: Vec<u32>,
+    done: Vec<bool>,
+    assigned: Vec<VarId>,
+    /// The incumbent, valid once [`Search::found`] is set.
+    best: Vec<VarId>,
+    /// The current node's scan of the remaining groups.
+    states: Vec<GroupState>,
+    /// Position in `states` per local group; all `usize::MAX` between
+    /// nodes.
+    pos_of: Vec<usize>,
+    pairs: Vec<(f64, usize, usize)>,
+    used: Vec<bool>,
+}
+
+impl SearchBuffers {
+    /// Sizes the per-group buffers for a component of `k` groups.
+    fn reset(&mut self, k: usize) {
+        self.done.clear();
+        self.done.resize(k, false);
+        self.assigned.clear();
+        self.assigned.resize(k, VarId(0));
+        self.best.clear();
+        self.pos_of.clear();
+        self.pos_of.resize(k, usize::MAX);
+    }
+}
+
 /// Per-component branch-and-bound.
 ///
 /// Three devices keep the search polynomial on the sparse instances the
@@ -505,22 +635,24 @@ impl Model {
 ///    minus best); a greedy matching over such pairs is a valid additive
 ///    lower bound and prunes the equal-cost plateaus that blow up the
 ///    naive bound.
+///
+/// A node allocates nothing: it scans into one reused state buffer and
+/// copies the state it branches on before it recurses.
 struct Search<'a> {
     model: &'a Model,
-    sorted_groups: &'a [Vec<VarId>],
+    sorted: &'a [VarId],
+    var_start: &'a [usize],
     /// Local (component) group index per variable, `usize::MAX` outside.
     local_of: &'a [usize],
-    /// Count of chosen conflicting variables per var (0 = selectable).
-    forbidden: Vec<u32>,
-    done: Vec<bool>,
-    assigned: Vec<VarId>,
-    best: Option<Vec<VarId>>,
+    bufs: &'a mut SearchBuffers,
+    found: bool,
     best_cost: f64,
     nodes: u64,
     max_nodes: u64,
     aborted: bool,
 }
 
+#[derive(Debug, Clone, Copy)]
 struct GroupState {
     group: usize,
     min_var: VarId,
@@ -531,19 +663,21 @@ struct GroupState {
 }
 
 impl Search<'_> {
-    /// Scans the remaining groups: per-group minima, regrets, and
-    /// selectable counts. `None` when some group has no selectable var.
-    fn scan(&self) -> Option<Vec<GroupState>> {
-        let mut states = Vec::new();
-        for (g, vars) in self.sorted_groups.iter().enumerate() {
-            if self.done[g] {
+    /// Scans the remaining groups into `bufs.states`: per-group minima,
+    /// regrets, and selectable counts. `false` when some group has no
+    /// selectable var.
+    fn scan(&mut self) -> bool {
+        let bufs = &mut *self.bufs;
+        bufs.states.clear();
+        for g in 0..self.var_start.len() - 1 {
+            if bufs.done[g] {
                 continue;
             }
             let mut min: Option<(VarId, f64)> = None;
             let mut second = f64::INFINITY;
             let mut selectable = 0;
-            for v in vars {
-                if self.forbidden[v.index()] > 0 {
+            for v in &self.sorted[self.var_start[g]..self.var_start[g + 1]] {
+                if bufs.forbidden[v.index()] > 0 {
                     continue;
                 }
                 selectable += 1;
@@ -554,8 +688,10 @@ impl Search<'_> {
                     second = c;
                 }
             }
-            let (min_var, min_cost) = min?;
-            states.push(GroupState {
+            let Some((min_var, min_cost)) = min else {
+                return false;
+            };
+            bufs.states.push(GroupState {
                 group: g,
                 min_var,
                 min_cost,
@@ -563,54 +699,29 @@ impl Search<'_> {
                 selectable,
             });
         }
-        Some(states)
+        true
     }
 
-    /// The matching-strengthened lower bound over `states` (see type
+    /// The matching-strengthened lower bound over `bufs.states` (see type
     /// docs). Returns `None` when two single-option groups conflict — a
     /// guaranteed dead end.
-    fn bound_extra(&self, states: &[GroupState]) -> Option<f64> {
+    fn bound_extra(&mut self) -> Option<f64> {
+        let SearchBuffers {
+            states,
+            pos_of,
+            pairs,
+            used,
+            ..
+        } = &mut *self.bufs;
         // Map group -> position in `states` for minima-conflict lookups.
-        let mut pos_of = vec![usize::MAX; self.sorted_groups.len()];
         for (i, s) in states.iter().enumerate() {
             pos_of[s.group] = i;
         }
-        // Candidate pairs: minima that conflict.
-        let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
-        for (i, s) in states.iter().enumerate() {
-            for c in &self.model.conflicts[s.min_var.index()] {
-                let lg = self.local_of[c.index()];
-                if lg == usize::MAX {
-                    continue;
-                }
-                let j = pos_of[lg];
-                if j == usize::MAX || j <= i {
-                    continue;
-                }
-                if states[j].min_var != *c {
-                    continue;
-                }
-                let w = states[i].regret.min(states[j].regret);
-                if w.is_infinite() {
-                    return None; // two forced minima conflict: dead end
-                }
-                if w > 0.0 {
-                    pairs.push((w, i, j));
-                }
-            }
+        let extra = matching_bound(self.model, self.local_of, states, pos_of, pairs, used);
+        for s in states.iter() {
+            pos_of[s.group] = usize::MAX;
         }
-        // Greedy matching, heaviest pairs first.
-        pairs.sort_by(|a, b| b.0.total_cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
-        let mut used = vec![false; states.len()];
-        let mut extra = 0.0;
-        for (w, i, j) in pairs {
-            if !used[i] && !used[j] {
-                used[i] = true;
-                used[j] = true;
-                extra += w;
-            }
-        }
-        Some(extra)
+        extra
     }
 
     fn dfs(&mut self, depth: usize, cost_so_far: f64) {
@@ -622,19 +733,23 @@ impl Search<'_> {
             self.aborted = true;
             return;
         }
-        if depth == self.sorted_groups.len() {
+        if depth == self.var_start.len() - 1 {
             if cost_so_far < self.best_cost {
                 self.best_cost = cost_so_far;
-                self.best = Some(self.assigned.clone());
+                self.found = true;
+                let SearchBuffers { best, assigned, .. } = &mut *self.bufs;
+                best.clone_from(assigned);
             }
             return;
         }
-        let Some(states) = self.scan() else { return };
-        let base: f64 = sum_ordered(states.iter().map(|s| s.min_cost));
+        if !self.scan() {
+            return;
+        }
+        let base: f64 = sum_ordered(self.bufs.states.iter().map(|s| s.min_cost));
         if cost_so_far + base >= self.best_cost {
             return;
         }
-        let Some(extra) = self.bound_extra(&states) else {
+        let Some(extra) = self.bound_extra() else {
             return;
         };
         if cost_so_far + base + extra >= self.best_cost {
@@ -642,8 +757,11 @@ impl Search<'_> {
         }
 
         // Fail-first: fewest selectable vars; tie-break on largest regret,
-        // then lowest group index for determinism.
-        let pick = states
+        // then lowest group index for determinism. The children reuse the
+        // state buffer, so the pick is copied out of it.
+        let pick = *self
+            .bufs
+            .states
             .iter()
             .min_by(|a, b| {
                 a.selectable
@@ -655,11 +773,11 @@ impl Search<'_> {
             // an undone group remains, so the state list is non-empty)
             .expect("states non-empty");
         let g = pick.group;
-        let vars = &self.sorted_groups[g];
 
-        self.done[g] = true;
-        for &var in vars.iter() {
-            if self.forbidden[var.index()] > 0 {
+        self.bufs.done[g] = true;
+        for i in self.var_start[g]..self.var_start[g + 1] {
+            let var = self.sorted[i];
+            if self.bufs.forbidden[var.index()] > 0 {
                 continue;
             }
             let cost = cost_so_far + self.model.costs[var.index()];
@@ -668,19 +786,69 @@ impl Search<'_> {
                 break;
             }
             for &c in &self.model.conflicts[var.index()] {
-                self.forbidden[c.index()] += 1;
+                self.bufs.forbidden[c.index()] += 1;
             }
-            self.assigned[g] = var;
+            self.bufs.assigned[g] = var;
             self.dfs(depth + 1, cost);
             for &c in &self.model.conflicts[var.index()] {
-                self.forbidden[c.index()] -= 1;
+                self.bufs.forbidden[c.index()] -= 1;
             }
             if self.aborted {
                 break;
             }
         }
-        self.done[g] = false;
+        self.bufs.done[g] = false;
     }
+}
+
+/// The greedy matching over pairs of groups whose minima conflict (see
+/// [`Search`]), with `pos_of` mapping each local group in `states` to
+/// its position. `pairs` and `used` are scratch.
+fn matching_bound(
+    model: &Model,
+    local_of: &[usize],
+    states: &[GroupState],
+    pos_of: &[usize],
+    pairs: &mut Vec<(f64, usize, usize)>,
+    used: &mut Vec<bool>,
+) -> Option<f64> {
+    // Candidate pairs: minima that conflict.
+    pairs.clear();
+    for (i, s) in states.iter().enumerate() {
+        for c in &model.conflicts[s.min_var.index()] {
+            let lg = local_of[c.index()];
+            if lg == usize::MAX {
+                continue;
+            }
+            let j = pos_of[lg];
+            if j == usize::MAX || j <= i {
+                continue;
+            }
+            if states[j].min_var != *c {
+                continue;
+            }
+            let w = states[i].regret.min(states[j].regret);
+            if w.is_infinite() {
+                return None; // two forced minima conflict: dead end
+            }
+            if w > 0.0 {
+                pairs.push((w, i, j));
+            }
+        }
+    }
+    // Greedy matching, heaviest pairs first.
+    pairs.sort_by(|a, b| b.0.total_cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+    used.clear();
+    used.resize(states.len(), false);
+    let mut extra = 0.0;
+    for &(w, i, j) in pairs.iter() {
+        if !used[i] && !used[j] {
+            used[i] = true;
+            used[j] = true;
+            extra += w;
+        }
+    }
+    Some(extra)
 }
 
 #[cfg(test)]
@@ -856,6 +1024,18 @@ mod tests {
 
     fn random_model(rng: &mut StdRng, groups: usize, vars_per: usize, conflicts: usize) -> Model {
         let mut m = Model::new();
+        build_random(&mut m, rng, groups, vars_per, conflicts);
+        m
+    }
+
+    /// Builds [`random_model`]'s instance in `m`, which must be empty.
+    fn build_random(
+        m: &mut Model,
+        rng: &mut StdRng,
+        groups: usize,
+        vars_per: usize,
+        conflicts: usize,
+    ) {
         let mut all = Vec::new();
         for _ in 0..groups {
             let vs: Vec<VarId> = (0..vars_per)
@@ -869,7 +1049,6 @@ mod tests {
             let b = all[rng.gen_range(0..all.len())];
             m.add_conflict(a, b);
         }
-        m
     }
 
     #[test]
@@ -942,6 +1121,190 @@ mod tests {
         let ex = m.solve_exhaustive().unwrap();
         assert_eq!(bb.objective, ex.objective);
         assert!(bb.proven_optimal);
+    }
+
+    /// A search outcome by bits: `(objective bits, nodes, chosen ids)`.
+    type Outcome = (u64, u64, Vec<u32>);
+
+    fn outcome(m: &Model, limits: SolveLimits) -> Option<Outcome> {
+        m.solve(limits).ok().map(|s| {
+            let chosen = s.chosen.iter().map(|v| v.0).collect();
+            (s.objective.to_bits(), s.nodes, chosen)
+        })
+    }
+
+    /// `random_model(seed, 4 + seed % 3 groups, 4 vars each, 8 conflicts
+    /// per group)` solved under the default limits, for seeds `0..64`:
+    /// the objective's bits, the nodes explored and the chosen variables.
+    /// Select and the legalizer keep whichever optimum the search finds
+    /// first, so a change to the exploration order must fail here.
+    const PINNED_RANDOM: [Option<(u64, u64, &[u32])>; 64] = [
+        Some((0x4045000000000000, 5, &[0, 6, 9, 15])),
+        Some((0x405b000000000000, 6, &[2, 6, 10, 14, 16])),
+        Some((0x405e800000000000, 12, &[3, 6, 11, 15, 16, 23])),
+        Some((0x4063000000000000, 5, &[0, 4, 11, 14])),
+        Some((0x405d400000000000, 14, &[2, 5, 11, 13, 19])),
+        Some((0x405fc00000000000, 7, &[3, 7, 11, 15, 18, 23])),
+        Some((0x4058c00000000000, 5, &[3, 6, 9, 14])),
+        Some((0x4067a00000000000, 13, &[0, 6, 8, 12, 17])),
+        Some((0x4061800000000000, 8, &[3, 4, 11, 13, 18, 21])),
+        Some((0x404d800000000000, 5, &[2, 7, 10, 14])),
+        Some((0x4054000000000000, 8, &[1, 7, 11, 14, 18])),
+        Some((0x4065600000000000, 14, &[2, 5, 9, 12, 17, 21])),
+        Some((0x4056400000000000, 5, &[3, 5, 8, 15])),
+        Some((0x4065800000000000, 12, &[2, 4, 11, 13, 19])),
+        Some((0x4061c00000000000, 10, &[2, 7, 8, 13, 17, 21])),
+        Some((0x4065c00000000000, 5, &[0, 7, 10, 14])),
+        Some((0x4066a00000000000, 23, &[3, 4, 11, 14, 19])),
+        Some((0x405ac00000000000, 18, &[3, 6, 10, 14, 18, 22])),
+        Some((0x405d800000000000, 5, &[1, 4, 9, 12])),
+        Some((0x4057400000000000, 6, &[1, 5, 8, 12, 16])),
+        Some((0x405e800000000000, 7, &[0, 5, 10, 15, 18, 23])),
+        Some((0x4062a00000000000, 10, &[3, 4, 11, 12])),
+        Some((0x405d000000000000, 10, &[1, 7, 8, 15, 16])),
+        Some((0x405f000000000000, 7, &[2, 7, 11, 15, 19, 22])),
+        Some((0x4058000000000000, 5, &[2, 6, 9, 15])),
+        Some((0x405ac00000000000, 6, &[2, 7, 10, 14, 16])),
+        Some((0x4059c00000000000, 7, &[2, 6, 9, 12, 18, 21])),
+        Some((0x4062e00000000000, 11, &[1, 5, 11, 14])),
+        Some((0x4055400000000000, 6, &[0, 6, 10, 13, 16])),
+        Some((0x4064e00000000000, 17, &[0, 4, 10, 13, 19, 20])),
+        Some((0x4052400000000000, 12, &[3, 7, 10, 14])),
+        Some((0x4057c00000000000, 14, &[2, 6, 10, 13, 18])),
+        Some((0x4066e00000000000, 7, &[0, 4, 11, 13, 19, 20])),
+        Some((0x4052000000000000, 5, &[3, 4, 8, 12])),
+        Some((0x4067c00000000000, 10, &[1, 4, 10, 14, 17])),
+        Some((0x4069000000000000, 7, &[2, 4, 10, 15, 18, 21])),
+        Some((0x4069800000000000, 5, &[2, 4, 9, 12])),
+        Some((0x4066200000000000, 6, &[1, 6, 10, 12, 19])),
+        Some((0x405d800000000000, 8, &[1, 4, 10, 14, 16, 22])),
+        Some((0x4058400000000000, 5, &[3, 6, 8, 12])),
+        Some((0x4053000000000000, 10, &[0, 5, 11, 13, 19])),
+        Some((0x4067400000000000, 18, &[2, 5, 8, 14, 16, 23])),
+        Some((0x4060e00000000000, 5, &[2, 4, 9, 15])),
+        Some((0x4065200000000000, 15, &[2, 4, 11, 15, 18])),
+        Some((0x4060200000000000, 7, &[3, 4, 11, 12, 17, 20])),
+        Some((0x4040000000000000, 5, &[3, 7, 9, 15])),
+        Some((0x4069600000000000, 16, &[0, 4, 8, 13, 18])),
+        Some((0x406a000000000000, 8, &[1, 6, 10, 14, 18, 20])),
+        Some((0x4066c00000000000, 6, &[1, 6, 11, 12])),
+        Some((0x4056800000000000, 7, &[3, 6, 11, 14, 16])),
+        Some((0x4068e00000000000, 11, &[2, 7, 11, 14, 16, 23])),
+        Some((0x4058800000000000, 8, &[3, 7, 8, 14])),
+        Some((0x4054400000000000, 6, &[0, 4, 11, 14, 16])),
+        Some((0x405d400000000000, 7, &[3, 7, 10, 12, 17, 21])),
+        Some((0x405f400000000000, 6, &[1, 7, 8, 12])),
+        Some((0x4057c00000000000, 7, &[2, 7, 8, 12, 19])),
+        Some((0x405b000000000000, 15, &[2, 6, 11, 14, 19, 20])),
+        Some((0x404f000000000000, 5, &[1, 4, 11, 14])),
+        Some((0x4064400000000000, 6, &[1, 4, 10, 12, 17])),
+        Some((0x4063400000000000, 8, &[0, 5, 11, 14, 16, 20])),
+        Some((0x405c800000000000, 5, &[0, 7, 11, 12])),
+        Some((0x4060400000000000, 6, &[1, 6, 11, 13, 17])),
+        Some((0x406d400000000000, 18, &[3, 5, 10, 13, 17, 20])),
+        Some((0x4051c00000000000, 5, &[3, 5, 11, 13])),
+    ];
+
+    #[test]
+    fn search_order_is_pinned_on_seeded_instances() {
+        for (seed, want) in (0u64..).zip(PINNED_RANDOM) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let groups = 4 + usize::try_from(seed % 3).unwrap();
+            let m = random_model(&mut rng, groups, 4, 8 * groups);
+            let want = want.map(|(bits, nodes, chosen)| (bits, nodes, chosen.to_vec()));
+            assert_eq!(outcome(&m, SolveLimits::default()), want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn reused_model_and_scratch_solve_like_fresh_ones() {
+        // One model, cleared between instances of different shapes, and
+        // one scratch serve every instance; each solution must equal the
+        // fresh model's, node count included.
+        let mut reused = Model::new();
+        let mut scratch = SolveScratch::new();
+        for seed in 0..200u64 {
+            let groups = 1 + usize::try_from(seed % 7).unwrap();
+            let vars_per = 1 + usize::try_from(seed % 4).unwrap();
+            let conflicts = usize::try_from(seed % 13).unwrap() * groups;
+            let fresh = random_model(
+                &mut StdRng::seed_from_u64(seed),
+                groups,
+                vars_per,
+                conflicts,
+            );
+            reused.clear();
+            build_random(
+                &mut reused,
+                &mut StdRng::seed_from_u64(seed),
+                groups,
+                vars_per,
+                conflicts,
+            );
+            let limits = SolveLimits {
+                max_nodes: if seed % 5 == 0 { 3 } else { 10_000 },
+            };
+            assert_eq!(
+                reused.solve_with(limits, &mut scratch),
+                fresh.solve(limits),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn search_order_is_pinned_on_chain_and_grid_fixtures() {
+        let mut chain12 = Model::new();
+        let _ = chain(&mut chain12, 12);
+        let alternate = |n: u32| (0..n).map(|g| 2 * g + (g % 2)).collect::<Vec<u32>>();
+        assert_eq!(
+            outcome(&chain12, SolveLimits::default()),
+            Some((18.0f64.to_bits(), 18, alternate(12)))
+        );
+        assert_eq!(
+            outcome(&chain12, SolveLimits { max_nodes: 14 }),
+            Some((18.0f64.to_bits(), 15, alternate(12)))
+        );
+
+        let mut chain60 = Model::new();
+        let mut prev_min: Option<VarId> = None;
+        for g in 0..60 {
+            let a = chain60.add_var(f64::from(g % 3));
+            let b = chain60.add_var(f64::from(g % 3) + 2.0);
+            chain60.add_exactly_one([a, b]);
+            if let Some(p) = prev_min {
+                chain60.add_conflict(p, a);
+            }
+            prev_min = Some(a);
+        }
+        assert_eq!(
+            outcome(&chain60, SolveLimits { max_nodes: 200_000 }),
+            Some((120.0f64.to_bits(), 90, alternate(60)))
+        );
+
+        let mut grid = Model::new();
+        let mut mins = Vec::new();
+        for g in 0..9 {
+            let a = grid.add_var(1.0 + f64::from(g) * 0.1);
+            let b = grid.add_var(3.0);
+            grid.add_exactly_one([a, b]);
+            mins.push(a);
+        }
+        for r in 0..3 {
+            for c in 0..3 {
+                let i = r * 3 + c;
+                if c + 1 < 3 {
+                    grid.add_conflict(mins[i], mins[i + 1]);
+                }
+                if r + 1 < 3 {
+                    grid.add_conflict(mins[i], mins[i + 3]);
+                }
+            }
+        }
+        assert_eq!(
+            outcome(&grid, SolveLimits::default()),
+            Some((0x4033_0000_0000_0000, 12, alternate(9)))
+        );
     }
 
     proptest! {

@@ -64,14 +64,18 @@ impl RowMap {
         &self.rows[r]
     }
 
-    /// Cells of row `r` whose spans overlap `span`, excluding `exclude`.
-    #[must_use]
-    pub fn overlapping(&self, r: usize, span: Interval, exclude: &[CellId]) -> Vec<CellId> {
+    /// Cells of row `r` whose spans overlap `span`, excluding `exclude`,
+    /// in span order.
+    pub fn overlapping<'a>(
+        &'a self,
+        r: usize,
+        span: Interval,
+        exclude: &'a [CellId],
+    ) -> impl Iterator<Item = CellId> + 'a {
         self.rows[r]
             .iter()
-            .filter(|(s, c)| s.overlaps(&span) && !exclude.contains(c))
+            .filter(move |(s, c)| s.overlaps(&span) && !exclude.contains(c))
             .map(|&(_, c)| c)
-            .collect()
     }
 
     /// The free intervals of row `r` within `wx`: the row span minus every
@@ -235,10 +239,12 @@ mod tests {
     fn overlapping_query() {
         let (d, cells) = fixture();
         let rm = RowMap::new(&d);
-        let hits = rm.overlapping(0, Interval::new(100, 700), &[]);
+        let hits: Vec<CellId> = rm.overlapping(0, Interval::new(100, 700), &[]).collect();
         assert_eq!(hits, vec![cells[0], cells[1]]);
-        let hits = rm.overlapping(0, Interval::new(100, 700), &[cells[0]]);
+        let hits: Vec<CellId> = rm
+            .overlapping(0, Interval::new(100, 700), &[cells[0]])
+            .collect();
         assert_eq!(hits, vec![cells[1]]);
-        assert!(rm.overlapping(0, Interval::new(300, 600), &[]).is_empty());
+        assert_eq!(rm.overlapping(0, Interval::new(300, 600), &[]).next(), None);
     }
 }

@@ -33,9 +33,9 @@ pub(crate) struct CostCtx<'a> {
     /// One value per planar edge, indexed by [`RouteGrid::slot`].
     history: &'a [f64],
     hist_weight: f64,
-    /// Per-edge demand deltas (CR&P's self-usage discount): sorted by
-    /// edge, one entry per edge.
-    discount: &'a [(Edge, f64)],
+    /// One demand delta per edge (CR&P's self-usage discount), indexed by
+    /// [`RouteGrid::edge_index`]; 0.0 leaves an edge's cost alone.
+    discount: &'a [f64],
 }
 
 impl<'a> CostCtx<'a> {
@@ -45,16 +45,20 @@ impl<'a> CostCtx<'a> {
     /// # Panics
     ///
     /// Panics if `history` is neither empty nor [`RouteGrid::num_slots`]
-    /// long.
+    /// long, or `discount` neither empty nor twice that.
     pub(crate) fn new(
         grid: &'a RouteGrid,
         history: &'a [f64],
         hist_weight: f64,
-        discount: &'a [(Edge, f64)],
+        discount: &'a [f64],
     ) -> CostCtx<'a> {
         assert!(
             history.is_empty() || history.len() == grid.num_slots(),
             "history does not match the grid"
+        );
+        assert!(
+            discount.is_empty() || discount.len() == 2 * grid.num_slots(),
+            "discount does not match the grid"
         );
         CostCtx {
             grid,
@@ -82,11 +86,14 @@ impl<'a> CostCtx<'a> {
     }
 
     /// The Eq. 10 cost of `e` with its demand shifted by its entry in the
-    /// discount, or its plain cost when it has none.
+    /// discount: the table entry where that is 0.0, which
+    /// `cost_adjusted(e, 0.0)` equals.
     fn shifted_cost(&self, e: Edge) -> f64 {
-        match self.discount.binary_search_by_key(&e, |&(d, _)| d) {
-            Ok(i) => self.grid.cost_adjusted(e, self.discount[i].1),
-            Err(_) => self.grid.cost(e),
+        let d = self.discount[self.grid.edge_index(e)];
+        if d == 0.0 {
+            self.grid.cost(e)
+        } else {
+            self.grid.cost_adjusted(e, d)
         }
     }
 
@@ -253,14 +260,16 @@ pub(crate) fn build_via_stacks(segs: &[RouteSeg], pins: &[Gcell]) -> Vec<ViaStac
 /// - `history` adds PathFinder-style penalties, weighted by
 ///   `hist_weight`, on edges the global router has learned to avoid: one
 ///   value per planar edge, indexed by [`RouteGrid::slot`];
-/// - `discount` shifts the demand of the edges it lists: `(edge, demand
-///   delta)` pairs sorted by edge, one entry per edge. CR&P passes the
-///   negated self-usage of the net's current route, so a candidate is
-///   priced as if the net were ripped up.
+/// - `discount` shifts the demand of each edge by its entry: one demand
+///   delta per edge, `2 · num_slots` of them, indexed by
+///   [`RouteGrid::edge_index`], where 0.0 leaves the edge alone. CR&P
+///   passes the negated self-usage of the net's current route, so a
+///   candidate is priced as if the net were ripped up.
 ///
 /// # Panics
 ///
-/// Panics if `history` is neither empty nor [`RouteGrid::num_slots`] long.
+/// Panics if `history` is neither empty nor [`RouteGrid::num_slots`] long,
+/// or `discount` neither empty nor twice that.
 ///
 /// # Examples
 ///
@@ -285,7 +294,7 @@ pub fn pattern_route_tree(
     pins: &[Gcell],
     history: &[f64],
     hist_weight: f64,
-    discount: &[(Edge, f64)],
+    discount: &[f64],
 ) -> NetRoute {
     let ctx = CostCtx::new(grid, history, hist_weight, discount);
     if pins.len() <= 1 {
@@ -535,14 +544,15 @@ mod tests {
                 let r = pattern_route_tree(&g, &nodes, &[], 0.0, &[]);
                 let p = price(&g, &nodes);
                 prop_assert!((p - r.cost(&g, &[])).abs() < 1e-9);
-                // Routed and priced with a zero delta listed on every edge
-                // of the route, the net prices as with no discount at all.
-                let mut edges: Vec<Edge> = r.edges().collect();
-                edges.sort_unstable();
-                edges.dedup();
-                let zero: Vec<(Edge, f64)> = edges.into_iter().map(|e| (e, 0.0)).collect();
+                // Routed and priced with an all-zero discount, the net
+                // prices as with no discount at all, and so would one that
+                // shifted its edges by 0.0 through `cost_adjusted`.
+                let zero = vec![0.0; 2 * g.num_slots()];
                 let z = pattern_route_tree(&g, &nodes, &[], 0.0, &zero).cost(&g, &zero);
                 prop_assert_eq!(z.to_bits(), p.to_bits());
+                for e in r.edges() {
+                    prop_assert_eq!(g.cost_adjusted(e, 0.0).to_bits(), g.cost(e).to_bits());
+                }
             }
         }
     }

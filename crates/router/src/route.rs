@@ -160,11 +160,15 @@ impl NetRoute {
 
     /// The route cost `cost_n^r`: the Eq. 10 costs of its edges, summed in
     /// [`edges`](NetRoute::edges) order. Each edge's demand is shifted by
-    /// its entry in `discount`, `(edge, demand delta)` pairs sorted by edge
-    /// with one entry per edge; pass an empty slice for the plain cost (see
-    /// [`pattern_route_tree`](crate::pattern_route_tree)).
+    /// its entry in `discount`, one delta per edge indexed by
+    /// [`RouteGrid::edge_index`]; pass an empty slice for the plain cost
+    /// (see [`pattern_route_tree`](crate::pattern_route_tree)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `discount` is neither empty nor `2 · num_slots` long.
     #[must_use]
-    pub fn cost(&self, grid: &RouteGrid, discount: &[(Edge, f64)]) -> f64 {
+    pub fn cost(&self, grid: &RouteGrid, discount: &[f64]) -> f64 {
         let ctx = CostCtx::new(grid, &[], 0.0, discount);
         sum_ordered(self.edges().map(|e| ctx.edge_cost(e)))
     }
@@ -442,7 +446,9 @@ mod tests {
         let sum = route.cost(&g, &[]);
         assert!((sum - (g.cost(edges[0]) + g.cost(edges[1]))).abs() < 1e-12);
         // A discount shifts only the demand of the edges it lists.
-        let discounted = route.cost(&g, &[(edges[1], -0.5)]);
+        let mut discount = vec![0.0; 2 * g.num_slots()];
+        discount[g.edge_index(edges[1])] = -0.5;
+        let discounted = route.cost(&g, &discount);
         let want = g.cost(edges[0]) + g.cost_adjusted(edges[1], -0.5);
         assert!((discounted - want).abs() < 1e-12);
     }
